@@ -1,16 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the primitives every cache
 // request executes: Jaccard distance, subset tests, MinHash signing and
-// LSH lookup, dependency closure, specification merge, and a full cache
-// request. These quantify the claim that LANDLORD "spends very little
-// time performing computation" (§VI) — decision costs are microseconds
-// against I/O costs of seconds.
+// LSH lookup, dependency closure, specification merge, a full cache
+// request, and the image builds that follow inserts and merges. These
+// quantify the claim that LANDLORD "spends very little time performing
+// computation" (§VI) — decision costs are microseconds against I/O
+// costs of seconds.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "landlord/cache.hpp"
 #include "pkg/synthetic.hpp"
+#include "shrinkwrap/builder.hpp"
 #include "sim/workload.hpp"
 #include "spec/jaccard.hpp"
 #include "spec/minhash.hpp"
@@ -358,6 +361,84 @@ void BM_FusedOrCount(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FusedOrCount)->Arg(0)->Arg(1);
+
+// ---- Image builds. ImageBuilder walks a package's virtual files on the
+// first build that contains it and folds cached per-package totals on
+// every later build. Arg 0 times a build against a cold package table
+// (a fresh builder per iteration, set-up untimed); Arg 1 against a warm
+// one. The repository is 1500 packages, the head-node benchmark's size.
+
+const pkg::Repository& build_repo() {
+  static const pkg::Repository r = [] {
+    pkg::SyntheticRepoParams params;
+    params.total_packages = 1500;
+    auto result = pkg::generate_repository(params, 7);
+    return std::move(result).value();
+  }();
+  return r;
+}
+
+/// Two overlapping image specs: `a` is the image before a merge, and
+/// `merged` is a ∪ b.
+struct BuildSpecs {
+  spec::Specification a;
+  spec::Specification merged;
+};
+
+const BuildSpecs& build_specs() {
+  static const BuildSpecs specs = [] {
+    util::Rng rng(11);
+    const auto closure = [&](std::uint32_t selection) {
+      std::vector<pkg::PackageId> ids;
+      for (auto i : rng.sample_without_replacement(
+               static_cast<std::uint32_t>(build_repo().size()), selection)) {
+        ids.push_back(pkg::package_id(i));
+      }
+      return spec::Specification::from_request(build_repo(), ids);
+    };
+    auto a = closure(40);
+    auto b = closure(20);
+    auto merged = a.merged_with(b);
+    return BuildSpecs{std::move(a), std::move(merged)};
+  }();
+  return specs;
+}
+
+/// Times builds of `target`; `before` (may be empty) is built first on
+/// every builder, untimed, as the image a merge rewrites.
+void run_build(benchmark::State& state, const spec::Specification* before,
+               const spec::Specification& target) {
+  const bool warm = state.range(0) != 0;
+  std::optional<shrinkwrap::ImageBuilder> builder;
+  const auto fresh = [&] {
+    builder.emplace(build_repo());
+    if (before != nullptr) (void)builder->build(*before, 1);
+  };
+  fresh();
+  if (warm) (void)builder->build(target, 1);
+  std::uint64_t files = 0;
+  for (auto _ : state) {
+    if (!warm) {
+      state.PauseTiming();
+      fresh();
+      state.ResumeTiming();
+    }
+    const auto built = builder->build(target, 1);
+    benchmark::DoNotOptimize(built);
+    files = built.files;
+  }
+  state.counters["files"] = static_cast<double>(files);
+}
+
+void BM_BuildInsert(benchmark::State& state) {
+  run_build(state, nullptr, build_specs().a);
+}
+BENCHMARK(BM_BuildInsert)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_BuildMerge(benchmark::State& state) {
+  run_build(state, &build_specs().a, build_specs().merged);
+}
+BENCHMARK(BM_BuildMerge)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

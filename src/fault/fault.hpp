@@ -173,7 +173,6 @@ struct DegradedCounters {
   std::uint64_t fallback_exact_builds = 0; ///< merge rewrite -> exact image
   std::uint64_t fallback_unsplit_hits = 0; ///< split rebuild -> unsplit image
   std::uint64_t error_placements = 0;      ///< degradation ladder exhausted
-  std::uint64_t toctou_retries = 0;        ///< decided image evicted mid-submit
   std::uint64_t snapshot_write_failures = 0;  ///< torn/failed checkpoint writes
   std::uint64_t snapshot_read_failures = 0;   ///< failed restores at restart
   std::uint64_t recovered_images = 0;      ///< images re-admitted from snapshots

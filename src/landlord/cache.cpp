@@ -465,6 +465,10 @@ Cache::Outcome Cache::request(const spec::Specification& spec) {
     outcome = {RequestKind::kInsert, id, bytes};
   }
 
+  // Inserts, merges and splits rewrite the image set and build the
+  // decided image; plain hits do neither.
+  const bool mutated = outcome.kind != RequestKind::kHit || outcome.split;
+  if (mutated) outcome.contents = images_.at(to_value(outcome.image)).contents;
   counters_.container_efficiency_sum +=
       outcome.image_bytes > 0
           ? static_cast<double>(requested) / static_cast<double>(outcome.image_bytes)
@@ -501,6 +505,10 @@ Cache::Outcome Cache::request(const spec::Specification& spec) {
 
   evict_over_budget();
   evict_idle();
+  // Structural mutations leave postings tombstones; sweep them here,
+  // where the image map and the index agree, because below scan_cutover
+  // no probe ever runs to do it.
+  if (dindex_ && mutated) dindex_->sweep(images_);
   record_sample(outcome.kind, outcome);
   return outcome;
 }
@@ -527,6 +535,7 @@ ImageId Cache::adopt(spec::PackageSet contents,
   dindex_insert(image);
   images_.emplace(to_value(id), std::move(image));
   evict_over_budget();
+  if (dindex_) dindex_->sweep(images_);
   return id;
 }
 

@@ -121,6 +121,11 @@ class Cache {
     /// (degradation ladder rung 3).
     ImageId split_from{};
     util::Bytes split_from_bytes = 0;
+    /// Contents of the decided image, copied under the decision's lock
+    /// for outcomes that build (insert, merge, split) so the caller can
+    /// materialise it even if a concurrent request evicts or rewrites
+    /// the image first. Empty for plain hits, which build nothing.
+    std::optional<spec::PackageSet> contents{};
   };
 
   /// Algorithm 1: satisfies `spec`, mutating the cache as needed.

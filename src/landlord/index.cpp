@@ -79,11 +79,22 @@ void DecisionIndex::compact_list(std::size_t pkg, const ImageMap& images) {
   // fresh entry); the probe's min-selection is idempotent over
   // duplicates, but they must be dropped here so the stale accounting
   // stays exact: every removed entry corresponds to one past remove.
-  std::sort(list.begin(), list.end());
-  list.erase(std::unique(list.begin(), list.end()), list.end());
+  // Live entries number at least refcounts_[pkg], so only a longer list
+  // can hold a duplicate; the sort is skipped otherwise.
+  if (list.size() > refcounts_[pkg]) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+  }
   assert(list.size() == refcounts_[pkg] && "postings/refcount drift");
   stale_entries_ -= before - list.size();
   ++stats_.postings_compactions;
+}
+
+void DecisionIndex::sweep(const ImageMap& images) {
+  if (stale_entries_ <= live_entries_ + 1024) return;
+  for (std::size_t p = 0; p < postings_.size(); ++p) {
+    if (postings_[p].size() > refcounts_[p]) compact_list(p, images);
+  }
 }
 
 std::optional<ImageId> DecisionIndex::find_superset(
@@ -106,14 +117,9 @@ std::optional<ImageId> DecisionIndex::find_superset(
   if (probe_len != nullptr) *probe_len = 0;
   if (rarest_refs == 0) return std::nullopt;  // no image holds this package
 
-  // Lazy hygiene, amortized against probes (the only moment the image
-  // map is guaranteed consistent): rebuild a list drowning in
+  // Lazy hygiene, amortized against probes: rebuild a list drowning in
   // tombstones, and sweep everything when global staleness dominates.
-  if (stale_entries_ > live_entries_ + 1024) {
-    for (std::size_t p = 0; p < postings_.size(); ++p) {
-      if (postings_[p].size() > refcounts_[p]) compact_list(p, images);
-    }
-  }
+  sweep(images);
   auto& list = postings_[rarest];
   if (list.size() > 2 * static_cast<std::size_t>(rarest_refs) + 8) {
     compact_list(rarest, images);

@@ -62,6 +62,8 @@ struct DecisionIndexStats {
   std::uint64_t postings_probe_entries = 0; ///< postings entries scanned
   std::uint64_t postings_compactions = 0;   ///< lazy list compactions
   std::uint64_t eviction_updates = 0;       ///< ordered-index mutations
+  std::uint64_t postings_live = 0;   ///< live postings entries right now
+  std::uint64_t postings_stale = 0;  ///< tombstones not yet swept
 };
 
 /// Per-image-map decision index: inverted postings for superset hits
@@ -115,8 +117,18 @@ class DecisionIndex {
   /// stamp (a hit, plus a split remainder).
   [[nodiscard]] std::optional<EvictionKey> victim(std::uint64_t now) const;
 
-  [[nodiscard]] const DecisionIndexStats& stats() const noexcept {
-    return stats_;
+  /// Sweeps every tombstoned postings list once tombstones outnumber
+  /// live entries by more than 1024, so total entries stay below live
+  /// + 1024. Safe only where `images` and the index agree: probes run
+  /// it, and so does the end of every structural mutation, because
+  /// below the scan cutover no probe runs at all.
+  void sweep(const ImageMap& images);
+
+  [[nodiscard]] DecisionIndexStats stats() const noexcept {
+    DecisionIndexStats out = stats_;
+    out.postings_live = live_entries_;
+    out.postings_stale = stale_entries_;
+    return out;
   }
 
   /// Cross-checks refcounts, postings contents, and the eviction order

@@ -1,5 +1,6 @@
 #include "landlord/landlord.hpp"
 
+#include <cassert>
 #include <istream>
 
 namespace landlord::core {
@@ -68,9 +69,6 @@ void Landlord::set_observability(obs::Observability* observability) {
                                      {{"rung", "unsplit-fallback"}}, kRungHelp);
   hooks_.rung_error =
       &reg.counter("landlord_submit_rung_total", {{"rung", "error"}}, kRungHelp);
-  hooks_.toctou_retries =
-      &reg.counter("landlord_submit_toctou_retries_total", {},
-                   "Decided images evicted between request() and find().");
   hooks_.build_retries =
       &reg.counter("landlord_submit_build_retries_total", {},
                    "Failed image builds retried after backoff.");
@@ -132,42 +130,13 @@ JobPlacement Landlord::submit_impl(const spec::Specification& spec) {
   if (submit_test_hook_) submit_test_hook_();
 
   // Materialise (or re-materialise after a merge or split) the image the
-  // cache decided on. The builder's persistent chunk cache means only
-  // content not fetched before is downloaded; the whole image is still
-  // written.
-  auto image = sharded_ ? sharded_->find(outcome.image) : cache_.find(outcome.image);
-  if (!image.has_value()) {
-    // TOCTOU: a concurrent eviction removed the decided image between
-    // request() and find(). The build used to be silently skipped here,
-    // under-counting prep cost. Count it and retry the decision once —
-    // the spec re-enters Algorithm 1 and gets a fresh placement.
-    degraded_.toctou_retries.fetch_add(1, std::memory_order_relaxed);
-    if (hooks_.toctou_retries != nullptr) hooks_.toctou_retries->inc();
-    if (hooks_.trace != nullptr) {
-      obs::TraceEvent event;
-      event.kind = obs::EventKind::kToctouRetry;
-      event.image = to_value(outcome.image);
-      hooks_.trace->record(event);
-    }
-    outcome = sharded_ ? sharded_->request(spec) : cache_.request(spec);
-    placement.kind = outcome.kind;
-    placement.image = outcome.image;
-    placement.image_bytes = outcome.image_bytes;
-    if (outcome.kind == RequestKind::kHit && !outcome.split) {
-      if (hooks_.rung_hit != nullptr) hooks_.rung_hit->inc();
-      return placement;
-    }
-    image = sharded_ ? sharded_->find(outcome.image) : cache_.find(outcome.image);
-    if (!image.has_value()) {
-      // Evicted again under extreme churn: report a degraded placement
-      // rather than looping against a cache thrashing faster than we
-      // can build.
-      placement.degraded = true;
-      return placement;
-    }
-  }
-
-  spec::Specification materialised{image->contents};
+  // cache decided on. request() copied its contents under the decision's
+  // lock, so a concurrent eviction between here and the build cannot
+  // take them away: each spec is decided once and its build charged.
+  // The builder's persistent chunk cache means only content not fetched
+  // before is downloaded; the whole image is still written.
+  assert(outcome.contents.has_value() && "building outcomes carry contents");
+  const spec::Specification materialised{std::move(*outcome.contents)};
   // The builder mutates its chunk cache; one lock keeps concurrent
   // sharded submissions safe without slowing the hit path above.
   std::scoped_lock lock(build_mutex_);
@@ -370,7 +339,6 @@ fault::DegradedCounters Landlord::degraded() const {
   out.fallback_unsplit_hits =
       degraded_.fallback_unsplit_hits.load(std::memory_order_relaxed);
   out.error_placements = degraded_.error_placements.load(std::memory_order_relaxed);
-  out.toctou_retries = degraded_.toctou_retries.load(std::memory_order_relaxed);
   out.recovered_images = degraded_.recovered_images.load(std::memory_order_relaxed);
   out.lost_records = degraded_.lost_records.load(std::memory_order_relaxed);
   return out;

@@ -173,9 +173,9 @@ class Landlord {
   /// counters().
   [[nodiscard]] fault::DegradedCounters degraded() const;
 
-  /// Test-only: runs between the placement decision and the image
-  /// lookup, so tests can deterministically open the TOCTOU window that
-  /// a concurrent eviction would (tests/landlord/fault_test.cpp).
+  /// Test-only: runs between the placement decision and the build, so
+  /// tests can deterministically interleave the concurrent eviction of
+  /// the decided image (tests/landlord/fault_test.cpp).
   void set_submit_test_hook(std::function<void()> hook) {
     submit_test_hook_ = std::move(hook);
   }
@@ -218,7 +218,6 @@ class Landlord {
     std::atomic<std::uint64_t> fallback_exact_builds{0};
     std::atomic<std::uint64_t> fallback_unsplit_hits{0};
     std::atomic<std::uint64_t> error_placements{0};
-    std::atomic<std::uint64_t> toctou_retries{0};
     std::atomic<std::uint64_t> recovered_images{0};
     std::atomic<std::uint64_t> lost_records{0};
   };
@@ -233,7 +232,6 @@ class Landlord {
     obs::Counter* rung_exact = nullptr;    ///< rung 2: exact uncached build
     obs::Counter* rung_unsplit = nullptr;  ///< rung 3: unsplit on-disk hit
     obs::Counter* rung_error = nullptr;    ///< ladder exhausted
-    obs::Counter* toctou_retries = nullptr;
     obs::Counter* build_retries = nullptr;
     obs::Gauge* backoff_seconds = nullptr;
     obs::Histogram* prep_seconds = nullptr;

@@ -193,6 +193,10 @@ void ShardedCache::dindex_touch(Shard& shard, const EvictionKey& old_key,
   if (hooks_.eviction_index_updates != nullptr) hooks_.eviction_index_updates->inc();
 }
 
+void ShardedCache::sweep_postings(Shard& shard) {
+  if (shard.dindex) shard.dindex->sweep(shard.images);
+}
+
 Cache::Outcome ShardedCache::request(const spec::Specification& spec) {
   assert(spec.packages().universe() == repo_->size() &&
          "spec universe must match the cache's repository");
@@ -426,12 +430,14 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
       counters_.merges.fetch_add(1, std::memory_order_relaxed);
       if (hooks_.requests_merge != nullptr) hooks_.requests_merge->inc();
       merge_outcome = {RequestKind::kMerge, image.id, image.bytes, false};
+      merge_outcome.contents = image.contents;
 
       // The merged contents may band-hash to a different shard.
       const std::size_t new_home = home_of(image.contents);
       if (new_home == candidate.shard) {
         index_insert(shard, image);
         if (shard.dindex) dindex_update(shard, image, *pre_merge_bits, pre_merge_key);
+        sweep_postings(shard);
       } else {
         // The source shard's postings only ever saw the pre-merge
         // contents; retire exactly those before the image moves
@@ -462,7 +468,8 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
     }
     counters_.inserts.fetch_add(1, std::memory_order_relaxed);
     if (hooks_.requests_insert != nullptr) hooks_.requests_insert->inc();
-    const Cache::Outcome outcome{RequestKind::kInsert, image.id, image.bytes, false};
+    Cache::Outcome outcome{RequestKind::kInsert, image.id, image.bytes, false};
+    outcome.contents = image.contents;
     const std::size_t home =
         signature ? (shards_.size() <= 1
                          ? 0
@@ -478,6 +485,7 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
       index_insert(shard, image);
       dindex_insert(shard, image);
       shard.images.emplace(to_value(image.id), std::move(image));
+      sweep_postings(shard);
     }
     image_count_.fetch_add(1);
     return outcome;
@@ -560,6 +568,7 @@ Cache::Outcome ShardedCache::split_locked(std::unique_lock<std::mutex>& source_l
   Cache::Outcome outcome{RequestKind::kHit, part_a.id, part_a.bytes, true};
   outcome.split_from = bloated.id;
   outcome.split_from_bytes = pre_split_bytes;
+  outcome.contents = part_a.contents;
 
   if (!remainder.empty()) {
     // The remainder keeps the bloated image's id (continuation, shrunk).
@@ -593,6 +602,7 @@ Cache::Outcome ShardedCache::split_locked(std::unique_lock<std::mutex>& source_l
     if (hooks_.evictions_split != nullptr) hooks_.evictions_split->inc();
     if (eviction_listener_) eviction_listener_(dying_id, pre_split_bytes);
   }
+  sweep_postings(shard);
 
   // Place part A on its home shard. Lock order is increasing index:
   // a higher-index home is locked while still holding the source; a
@@ -608,10 +618,12 @@ Cache::Outcome ShardedCache::split_locked(std::unique_lock<std::mutex>& source_l
     index_insert(target, part_a);
     dindex_insert(target, part_a);
     target.images.emplace(to_value(part_a.id), std::move(part_a));
+    sweep_postings(target);
   } else {
     index_insert(shard, part_a);
     dindex_insert(shard, part_a);
     shard.images.emplace(to_value(part_a.id), std::move(part_a));
+    sweep_postings(shard);
   }
   image_count_.fetch_add(1);
   return outcome;
@@ -626,12 +638,14 @@ void ShardedCache::rehome_locked(std::unique_lock<std::mutex>& source_lock,
   Shard& target = shards_[target_index];
   auto node = source.images.extract(id);
   assert(!node.empty());
+  sweep_postings(source);
   if (target_index > source_index) {
     // Increasing-index order: safe to acquire while holding the source.
     auto target_lock = lock_shard(target);
     index_insert(target, node.mapped());
     const auto placed = target.images.insert(std::move(node));
     dindex_insert(target, placed.position->second);
+    sweep_postings(target);
   } else {
     // Never lock a lower index while holding a higher one: extract
     // privately, release, then lock the target. The image is briefly
@@ -641,6 +655,7 @@ void ShardedCache::rehome_locked(std::unique_lock<std::mutex>& source_lock,
     index_insert(target, node.mapped());
     const auto placed = target.images.insert(std::move(node));
     dindex_insert(target, placed.position->second);
+    sweep_postings(target);
   }
 }
 
@@ -700,6 +715,7 @@ void ShardedCache::enforce_budget(std::uint64_t now) {
     }
     const util::Bytes victim_bytes = it->second.bytes;
     shard.images.erase(it);
+    sweep_postings(shard);
     image_count_.fetch_sub(1);
     counters_.deletes.fetch_add(1, std::memory_order_relaxed);
     if (eviction_listener_) eviction_listener_(ImageId{best.id}, victim_bytes);
@@ -710,6 +726,7 @@ void ShardedCache::evict_idle(std::uint64_t now) {
   if (config_.max_idle_requests == 0) return;
   for (Shard& shard : shards_) {
     auto lock = lock_shard(shard);
+    bool evicted = false;
     for (auto it = shard.images.begin(); it != shard.images.end();) {
       const Image& image = it->second;
       // `last_used > now` means a racing request stamped it after us.
@@ -721,6 +738,7 @@ void ShardedCache::evict_idle(std::uint64_t now) {
         const ImageId victim_id = image.id;
         const util::Bytes victim_bytes = image.bytes;
         it = shard.images.erase(it);
+        evicted = true;
         image_count_.fetch_sub(1);
         counters_.deletes.fetch_add(1, std::memory_order_relaxed);
         if (eviction_listener_) eviction_listener_(victim_id, victim_bytes);
@@ -728,6 +746,7 @@ void ShardedCache::evict_idle(std::uint64_t now) {
         ++it;
       }
     }
+    if (evicted) sweep_postings(shard);
   }
 }
 
@@ -757,6 +776,7 @@ ImageId ShardedCache::adopt(spec::PackageSet contents,
     index_insert(shard, image);
     dindex_insert(shard, image);
     shard.images.emplace(to_value(id), std::move(image));
+    sweep_postings(shard);
   }
   image_count_.fetch_add(1);
   enforce_budget(now);
@@ -768,11 +788,13 @@ DecisionIndexStats ShardedCache::index_stats() const {
   for (const Shard& shard : shards_) {
     auto lock = lock_shard(shard);
     if (!shard.dindex) continue;
-    const DecisionIndexStats& s = shard.dindex->stats();
+    const DecisionIndexStats s = shard.dindex->stats();
     out.postings_probes += s.postings_probes;
     out.postings_probe_entries += s.postings_probe_entries;
     out.postings_compactions += s.postings_compactions;
     out.eviction_updates += s.eviction_updates;
+    out.postings_live += s.postings_live;
+    out.postings_stale += s.postings_stale;
   }
   return out;
 }
@@ -868,8 +890,13 @@ std::vector<Image> ShardedCache::snapshot_images() const {
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (const Shard& shard : shards_) locks.push_back(lock_shard(shard));
+  // Size from the locked maps, not image_count_: that ledger is updated
+  // outside the shard locks and can transiently wrap below zero when a
+  // racing eviction erases an image before its insert is counted.
+  std::size_t count = 0;
+  for (const Shard& shard : shards_) count += shard.images.size();
   std::vector<Image> out;
-  out.reserve(image_count_.load(std::memory_order_acquire));
+  out.reserve(count);
   for (const Shard& shard : shards_) {
     for (const auto& [id, image] : shard.images) out.push_back(image);
   }

@@ -193,6 +193,10 @@ class ShardedCache {
                      const EvictionKey& old_key);
   void dindex_touch(Shard& shard, const EvictionKey& old_key,
                     const Image& image);
+  /// Sweeps the shard's postings tombstones (DecisionIndex::sweep). Call
+  /// under the shard's lock at the end of a structural mutation, once
+  /// its image map and index agree again; never on the plain-hit path.
+  void sweep_postings(Shard& shard);
 
   void enforce_budget(std::uint64_t now);
   void evict_idle(std::uint64_t now);

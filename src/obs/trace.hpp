@@ -26,7 +26,6 @@ enum class EventKind : std::uint8_t {
   kFallbackExact,    ///< ladder rung 2: merge rewrite -> exact uncached image
   kFallbackUnsplit,  ///< ladder rung 3: split rebuild -> unsplit on-disk image
   kErrorPlacement,   ///< ladder exhausted: job got no image
-  kToctouRetry,      ///< decided image evicted mid-submit; decision re-run
   kFaultInjected,    ///< the injector failed an operation
   kCheckpoint,       ///< cache snapshot written (or torn)
   kRestore,          ///< cache snapshot restored after a crash
@@ -54,7 +53,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::kFallbackExact: return "fallback-exact";
     case EventKind::kFallbackUnsplit: return "fallback-unsplit";
     case EventKind::kErrorPlacement: return "error-placement";
-    case EventKind::kToctouRetry: return "toctou-retry";
     case EventKind::kFaultInjected: return "fault-injected";
     case EventKind::kCheckpoint: return "checkpoint";
     case EventKind::kRestore: return "restore";

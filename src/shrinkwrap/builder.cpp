@@ -1,6 +1,7 @@
 #include "shrinkwrap/builder.hpp"
 
 #include <cassert>
+#include <span>
 #include <vector>
 
 namespace landlord::shrinkwrap {
@@ -23,7 +24,28 @@ ImageBuilder::ImageBuilder(const pkg::Repository& repo,
       time_model_(time_model),
       noise_(noise),
       delta_(delta),
-      store_(delta.store) {}
+      store_(delta.store),
+      packages_(repo.size()) {}
+
+const ImageBuilder::PackageEntry& ImageBuilder::package_entry(pkg::PackageId id) {
+  PackageEntry& entry = packages_[pkg::to_index(id)];
+  if (entry.filled) return entry;
+  entry.filled = true;
+  entry.first_file = files_.size();
+  entry.first_span = spans_.size();
+  for (const VirtualFile& file : trees_.files(id)) {
+    entry.bytes += file.size;
+    entry.digest ^= digest_mix(file.content, file.size);
+    files_.push_back({file.content, file.size});
+    if (delta_.enabled) {
+      const auto spans = model_chunks(file.content, file.size, delta_.store.chunker);
+      spans_.insert(spans_.end(), spans.begin(), spans.end());
+    }
+  }
+  entry.file_count = files_.size() - entry.first_file;
+  entry.span_count = spans_.size() - entry.first_span;
+  return entry;
+}
 
 double ImageBuilder::model_seconds(util::Bytes bytes, util::Bytes fetched,
                                    std::uint64_t files) const noexcept {
@@ -59,35 +81,46 @@ BuiltImage ImageBuilder::build(const spec::Specification& spec,
   const bool track = delta_.enabled && image_key != kNoImageKey;
   std::vector<ChunkRef> tree;
   // Order-independent content digest: XOR of per-file mixed hashes, so
-  // two images with identical file contents digest identically.
+  // two images with identical file contents digest identically (and a
+  // package's XOR can stand in for its files').
   std::uint64_t digest = 0;
-  const auto record_file = [&](ChunkHash content, util::Bytes size,
-                               bool local) {
-    out.bytes += size;
-    ++out.files;
-    // Locally generated files (build noise) are never downloaded.
-    if (!local && !cache_.contains(content)) out.fetched_bytes += size;
-    // Same content always re-registers with the same size (sizes are
-    // derived from the content hash), so this cannot fail.
+  // Every file takes one chunk-cache reference per build; a file is
+  // fetched when its content enters the cache. Same content always
+  // re-registers with the same size (sizes are derived from the content
+  // hash), so add_chunk cannot fail.
+  const auto reference = [this](ChunkHash content, util::Bytes size) {
     auto added = cache_.add_chunk(content, size);
     assert(added.ok());
-    (void)added;
-    digest ^= digest_mix(content, size);
-    if (track) {
-      const auto spans = model_chunks(content, size, delta_.store.chunker);
-      tree.insert(tree.end(), spans.begin(), spans.end());
-    }
+    return added.ok() && added.value();
   };
   spec.packages().for_each([&](pkg::PackageId id) {
-    for (const auto& file : trees_.files(id)) {
-      record_file(file.content, file.size, /*local=*/false);
+    const PackageEntry& entry = package_entry(id);
+    out.bytes += entry.bytes;
+    out.files += entry.file_count;
+    digest ^= entry.digest;
+    for (const ChunkRef& file :
+         std::span(files_).subspan(entry.first_file, entry.file_count)) {
+      if (reference(file.hash, file.size)) out.fetched_bytes += file.size;
+    }
+    if (track) {
+      const auto spans = std::span(spans_).subspan(entry.first_span, entry.span_count);
+      tree.insert(tree.end(), spans.begin(), spans.end());
     }
   });
   // Build noise: timestamps, logs, byproducts unique to this invocation.
+  // Locally generated, so never downloaded.
   for (std::uint32_t n = 0; n < noise_.noise_files; ++n) {
     const ChunkHash noise_chunk =
         digest_mix(0x6e6f697365ULL + build_counter_, n);
-    record_file(noise_chunk, noise_.noise_file_bytes, /*local=*/true);
+    const util::Bytes size = noise_.noise_file_bytes;
+    out.bytes += size;
+    ++out.files;
+    (void)reference(noise_chunk, size);
+    digest ^= digest_mix(noise_chunk, size);
+    if (track) {
+      const auto spans = model_chunks(noise_chunk, size, delta_.store.chunker);
+      tree.insert(tree.end(), spans.begin(), spans.end());
+    }
   }
   out.content_digest = digest;
 

@@ -18,9 +18,18 @@
 // periodic repacks. Decision-relevant outputs (bytes, fetched_bytes,
 // files, content_digest) are bit-identical with the store on or off; only
 // the write accounting and prep time differ.
+//
+// Composed builds: every quantity a build reports folds per package, so
+// the builder walks a package's virtual files once — on the first build
+// that contains it — and caches its byte total, file count, XOR content
+// digest, (content hash, size) list and, with delta storage on, its
+// chunk spans. Later builds sum and XOR the cached totals and still add
+// one chunk-cache reference per file, so fetched_bytes and the chunk
+// ledger stay exact (docs/cas_delta.md, "Composed builds").
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "pkg/repository.hpp"
@@ -135,6 +144,22 @@ class ImageBuilder {
                                      util::Bytes written) const noexcept;
 
  private:
+  /// One package's build contribution: its files are files_[first_file,
+  /// first_file + file_count) and, with delta storage on, its chunk
+  /// spans are spans_[first_span, first_span + span_count).
+  struct PackageEntry {
+    bool filled = false;
+    util::Bytes bytes = 0;
+    std::uint64_t digest = 0;  ///< XOR of the files' digest terms
+    std::size_t first_file = 0;
+    std::size_t file_count = 0;
+    std::size_t first_span = 0;
+    std::size_t span_count = 0;
+  };
+
+  /// The package's entry, walking its files on first use.
+  const PackageEntry& package_entry(pkg::PackageId id);
+
   const pkg::Repository* repo_;
   FileTreeModel trees_;
   BuildTimeModel time_model_;
@@ -143,6 +168,9 @@ class ImageBuilder {
   std::uint64_t build_counter_ = 0;
   Cas cache_;
   ImageStore store_;
+  std::vector<PackageEntry> packages_;  ///< indexed by package id
+  std::vector<ChunkRef> files_;  ///< (content hash, size) of cached files
+  std::vector<ChunkRef> spans_;  ///< model_chunks spans of cached files
 };
 
 }  // namespace landlord::shrinkwrap

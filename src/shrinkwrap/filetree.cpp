@@ -36,9 +36,11 @@ FileTreeModel::FileTreeModel(const pkg::Repository& repo, FileTreeParams params)
   // generator declares versions consecutively, so a linear scan keyed on
   // name finds predecessors for any repository layout.
   prev_version_.assign(repo.size(), -1);
+  key_hash_.resize(repo.size());
   std::unordered_map<std::string, std::uint32_t> last_seen;
   for (std::uint32_t i = 0; i < repo.size(); ++i) {
     const auto& info = repo[pkg::package_id(i)];
+    key_hash_[i] = hash_string(info.key());
     auto it = last_seen.find(info.name);
     if (it != last_seen.end()) {
       prev_version_[i] = static_cast<std::int32_t>(it->second);
@@ -83,10 +85,8 @@ std::vector<VirtualFile> FileTreeModel::files(pkg::PackageId id) const {
     // what a content-addressed store requires.
     auto owner_index = pkg::to_index(id);
     for (;;) {
-      const auto& owner_info = (*repo_)[pkg::package_id(owner_index)];
-      const std::uint64_t owner_hash = hash_string(owner_info.key());
       const std::int32_t prev = prev_version_[owner_index];
-      if (changed_file(owner_hash, f, prev >= 0,
+      if (changed_file(key_hash_[owner_index], f, prev >= 0,
                        params_.version_share_probability)) {
         break;
       }
@@ -94,10 +94,9 @@ std::vector<VirtualFile> FileTreeModel::files(pkg::PackageId id) const {
     }
 
     const auto& owner_info = (*repo_)[pkg::package_id(owner_index)];
-    const std::uint64_t owner_hash = hash_string(owner_info.key());
     VirtualFile file;
     file.path = "f" + std::to_string(f);
-    file.content = mix(owner_hash, 0x66696c65ULL + f);
+    file.content = mix(key_hash_[owner_index], 0x66696c65ULL + f);
     // File size is derived from the anchor owner's per-file budget, so
     // every package inheriting this content agrees on the size and tree
     // totals stay near the declared package size.

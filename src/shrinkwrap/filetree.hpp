@@ -53,6 +53,8 @@ class FileTreeModel {
   FileTreeParams params_;
   // id of the previous version of the same project, if any (for sharing).
   std::vector<std::int32_t> prev_version_;
+  // hash of each package's key(), the seed of its file contents.
+  std::vector<std::uint64_t> key_hash_;
 };
 
 }  // namespace landlord::shrinkwrap

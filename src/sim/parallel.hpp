@@ -55,7 +55,7 @@ struct ParallelResult {
   /// Dispatch-plane tallies (zero unless ParallelConfig::dispatch).
   /// `dispatches` can trail `counters.requests`: a concurrently evicted
   /// image makes the post-decision find() miss, and that job is not
-  /// shipped (the sequential Landlord path counts these toctou_retries).
+  /// shipped.
   util::Bytes transferred_bytes = 0;
   std::uint64_t dispatches = 0;
   std::uint64_t transfers = 0;

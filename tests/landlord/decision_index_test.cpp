@@ -7,8 +7,9 @@
 // cache and compares every per-request outcome, every counter, every
 // final image, and — via peek_victim — every eviction tie-break, across
 // all four EvictionPolicy variants. It also regression-tests the index
-// structures directly: stale postings tombstones after erasure, memo
-// epoch invalidation, and reconciliation after restore.
+// structures directly: stale postings tombstones after erasure, bounded
+// postings growth below the scan cutover, memo epoch invalidation, and
+// reconciliation after restore.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -433,6 +434,80 @@ TEST(SpecMemo, ShardedMemoMatchesSequentialScan) {
   EXPECT_GT(sharded.memo_stats().hits, before);
   EXPECT_EQ(sharded.check_decision_index(), std::nullopt);
   EXPECT_EQ(scan.counters().hits, sharded.counters().hits);
+}
+
+// ---- Postings growth below the scan cutover --------------------------
+// Below scan_cutover no superset probe runs, so a probe-time sweep never
+// fires. The mutation path must sweep instead, or every insert, eviction
+// and merge diff leaves its postings tombstones behind for good.
+
+/// Seeded churn: fresh random specs against a budget of a few images, so
+/// almost every request inserts (or merges) and evicts.
+std::vector<spec::Specification> churn_specs(std::size_t count,
+                                             std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<spec::Specification> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<pkg::PackageId> request;
+    for (auto index : rng.sample_without_replacement(
+             static_cast<std::uint32_t>(shared_repo().size()),
+             1 + static_cast<std::uint32_t>(rng.uniform(8)))) {
+      request.push_back(pkg::package_id(index));
+    }
+    out.push_back(spec::Specification::from_request(shared_repo(), request));
+  }
+  return out;
+}
+
+CacheConfig churn_config(double alpha, std::uint32_t shards) {
+  CacheConfig config;
+  config.alpha = alpha;
+  config.shards = shards;
+  config.capacity = shared_repo().total_bytes() / 10;
+  return config;
+}
+
+TEST(PostingsGrowth, CacheStaysBoundedBelowCutover) {
+  const auto specs = churn_specs(4000, 0x5EED);
+  for (const double alpha : {0.0, 0.8}) {
+    const CacheConfig config = churn_config(alpha, 1);
+    Cache cache(shared_repo(), config);
+    for (const auto& spec : specs) {
+      (void)cache.request(spec);
+      ASSERT_LT(cache.image_count(), config.scan_cutover);
+      const auto stats = cache.index_stats();
+      ASSERT_LE(stats.postings_stale, stats.postings_live + 1024)
+          << "alpha " << alpha;
+    }
+    const auto stats = cache.index_stats();
+    EXPECT_EQ(stats.postings_probes, 0u);  // every lookup was a scan
+    EXPECT_GT(stats.postings_compactions, 0u);
+    EXPECT_GT(cache.counters().deletes, 500u);
+    EXPECT_EQ(cache.check_decision_index(), std::nullopt);
+  }
+}
+
+TEST(PostingsGrowth, ShardedCacheStaysBoundedBelowCutover) {
+  const auto specs = churn_specs(4000, 0x5EED + 1);
+  for (const double alpha : {0.0, 0.8}) {
+    const CacheConfig config = churn_config(alpha, 4);
+    ShardedCache cache(shared_repo(), config);
+    for (const auto& spec : specs) {
+      (void)cache.request(spec);
+      ASSERT_LT(cache.image_count(), config.scan_cutover);
+      // The bound holds per shard; index_stats() sums the shards.
+      const auto stats = cache.index_stats();
+      ASSERT_LE(stats.postings_stale,
+                stats.postings_live + 1024 * cache.shard_count())
+          << "alpha " << alpha;
+    }
+    const auto stats = cache.index_stats();
+    EXPECT_EQ(stats.postings_probes, 0u);
+    EXPECT_GT(stats.postings_compactions, 0u);
+    EXPECT_GT(cache.counters().deletes, 500u);
+    EXPECT_EQ(cache.check_decision_index(), std::nullopt);
+  }
 }
 
 }  // namespace

@@ -188,7 +188,6 @@ TEST(ZeroFault, WiredPathsBitIdenticalToUnwired) {
   EXPECT_EQ(degraded.build_failures, 0u);
   EXPECT_EQ(degraded.retries, 0u);
   EXPECT_EQ(degraded.error_placements, 0u);
-  EXPECT_EQ(degraded.toctou_retries, 0u);
 
   // Snapshots are bit-identical too (v1 is the default writer).
   std::ostringstream snap_a, snap_b;
@@ -438,10 +437,10 @@ TEST(Degradation, ExhaustionSurfacesErrorPlacement) {
   EXPECT_FALSE(retry.failed);
 }
 
-// ---- TOCTOU regression (ISSUE satellite: landlord.cpp decided-image
-// eviction between request() and find()) ------------------------------
+// ---- Decision/build race: the decided image is evicted after request()
+// but before its build ------------------------------------------------
 
-TEST(Toctou, ConcurrentEvictionIsCountedAndRetriedOnce) {
+TEST(Toctou, ConcurrentEvictionStillBuildsDecidedContents) {
   const auto spec_b = spec_for({500, 501});
   const auto spec_big = spec_for({100, 101, 102, 103, 104, 105});
 
@@ -461,18 +460,26 @@ TEST(Toctou, ConcurrentEvictionIsCountedAndRetriedOnce) {
 
   const auto placement = landlord.submit(spec_b);
   EXPECT_TRUE(hook_fired);
-  // The decided image was evicted mid-submit; submit() must notice,
-  // count it, and re-run the decision instead of silently skipping the
-  // build (prep cost was under-counted before the fix).
-  EXPECT_EQ(landlord.degraded().toctou_retries, 1u);
+  // One decision per submit: the spec was not re-run through Algorithm 1
+  // after the racing eviction.
+  const auto counters = landlord.counters();
+  EXPECT_EQ(counters.requests, 2u);
+  EXPECT_EQ(counters.inserts, 2u);
+  EXPECT_EQ(counters.deletes, 1u);
+  EXPECT_EQ(placement.kind, core::RequestKind::kInsert);
   EXPECT_FALSE(placement.failed);
+  EXPECT_FALSE(placement.degraded);
+  // The decided image really was evicted before its build ran ...
+  EXPECT_FALSE(landlord.find(placement.image).has_value());
+  // ... and the build was still charged, for exactly the contents the
+  // decision named (request() copied them under its lock).
+  shrinkwrap::ImageBuilder reference(repo());
+  const auto expected = reference.build(spec_b);
   EXPECT_GT(placement.prep_seconds, 0.0);
-  // The retried decision served the spec: its image is resident now.
-  const auto image = landlord.find(placement.image);
-  ASSERT_TRUE(image.has_value());
-  EXPECT_TRUE(spec_b.satisfied_by(image->contents));
+  EXPECT_EQ(placement.content_digest, expected.content_digest);
+  EXPECT_EQ(placement.bytes_written, expected.written_bytes);
+  EXPECT_EQ(placement.image_bytes, spec_b.bytes(repo()));
   expect_invariants(landlord);
-  expect_sound_placement(landlord, placement);
 }
 
 }  // namespace

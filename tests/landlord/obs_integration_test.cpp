@@ -203,8 +203,6 @@ TEST(ObsReconcile, LadderRungsMatchDegradedCountersUnderChaos) {
             static_cast<double>(degraded.error_placements));
   EXPECT_EQ(series(snap, "landlord_submit_build_retries_total"),
             static_cast<double>(degraded.retries));
-  EXPECT_EQ(series(snap, "landlord_submit_toctou_retries_total"),
-            static_cast<double>(degraded.toctou_retries));
   EXPECT_DOUBLE_EQ(series(snap, "landlord_submit_backoff_seconds_total"),
                    degraded.backoff_seconds);
   EXPECT_GT(degraded.retries, 0u);  // the chaos actually bit
