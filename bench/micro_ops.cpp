@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the primitives every cache
 // request executes: Jaccard distance, subset tests, MinHash signing and
 // LSH lookup, dependency closure, specification merge, a full cache
-// request, and the image builds that follow inserts and merges. These
+// request, the image builds that follow inserts and merges, and the
+// head node's per-frame submit codec and requested-bytes sum. These
 // quantify the claim that LANDLORD "spends very little time performing
 // computation" (§VI) — decision costs are microseconds against I/O
 // costs of seconds.
@@ -13,6 +14,8 @@
 
 #include "landlord/cache.hpp"
 #include "pkg/synthetic.hpp"
+#include "serve/loadgen.hpp"
+#include "serve/protocol.hpp"
 #include "shrinkwrap/builder.hpp"
 #include "sim/workload.hpp"
 #include "spec/jaccard.hpp"
@@ -439,6 +442,66 @@ void BM_BuildMerge(benchmark::State& state) {
   run_build(state, &build_specs().a, build_specs().merged);
 }
 BENCHMARK(BM_BuildMerge)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// ---- The head node's hit path per frame: the client encodes one
+// 256-spec kBatchSubmit frame, the server decodes it, and every decided
+// spec's requested bytes are summed once. Specs are the load generator's
+// catalog over the same 1500-package repository.
+
+const std::vector<serve::SubmitRequest>& frame_specs() {
+  static const std::vector<serve::SubmitRequest> specs = [] {
+    auto catalog = serve::make_catalog(build_repo(), serve::LoadGenConfig{});
+    catalog.resize(256);
+    return catalog;
+  }();
+  return specs;
+}
+
+/// Items are specs; bytes, when given, are wire bytes.
+void count_frame(benchmark::State& state, std::size_t wire_bytes = 0) {
+  const auto frames = static_cast<std::int64_t>(state.iterations());
+  state.SetItemsProcessed(frames * static_cast<std::int64_t>(frame_specs().size()));
+  if (wire_bytes > 0) {
+    state.SetBytesProcessed(frames * static_cast<std::int64_t>(wire_bytes));
+  }
+}
+
+void BM_EncodeBatchSubmit(benchmark::State& state) {
+  std::uint64_t request_id = 0;
+  std::size_t wire_bytes = 0;
+  for (auto _ : state) {
+    const std::string wire = serve::encode_batch_submit(++request_id, frame_specs());
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::ClobberMemory();
+    wire_bytes = wire.size();
+  }
+  count_frame(state, wire_bytes);
+}
+BENCHMARK(BM_EncodeBatchSubmit)->Unit(benchmark::kMicrosecond);
+
+void BM_DecodeBatchSubmit(benchmark::State& state) {
+  const std::string wire = serve::encode_batch_submit(1, frame_specs());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::decode_frame(wire, build_repo().size()));
+  }
+  count_frame(state, wire.size());
+}
+BENCHMARK(BM_DecodeBatchSubmit)->Unit(benchmark::kMicrosecond);
+
+/// Requested bytes of each frame spec, one Repository::bytes_of per spec.
+void BM_SpecBytes(benchmark::State& state) {
+  std::vector<spec::Specification> specs;
+  for (const auto& request : frame_specs()) {
+    specs.push_back(serve::to_specification(request, build_repo().size()));
+  }
+  for (auto _ : state) {
+    util::Bytes total = 0;
+    for (const auto& spec : specs) total += spec.bytes(build_repo());
+    benchmark::DoNotOptimize(total);
+  }
+  count_frame(state);
+}
+BENCHMARK(BM_SpecBytes)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -465,6 +465,7 @@ Cache::Outcome Cache::request(const spec::Specification& spec) {
     outcome = {RequestKind::kInsert, id, bytes};
   }
 
+  outcome.requested_bytes = requested;
   // Inserts, merges and splits rewrite the image set and build the
   // decided image; plain hits do neither.
   const bool mutated = outcome.kind != RequestKind::kHit || outcome.split;

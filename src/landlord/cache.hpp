@@ -126,6 +126,9 @@ class Cache {
     /// materialise it even if a concurrent request evicts or rewrites
     /// the image first. Empty for plain hits, which build nothing.
     std::optional<spec::PackageSet> contents{};
+    /// Size the spec actually needed, computed once per request so the
+    /// caller need not walk the package set again.
+    util::Bytes requested_bytes = 0;
   };
 
   /// Algorithm 1: satisfies `spec`, mutating the cache as needed.

@@ -118,7 +118,7 @@ JobPlacement Landlord::submit_impl(const spec::Specification& spec) {
   placement.kind = outcome.kind;
   placement.image = outcome.image;
   placement.image_bytes = outcome.image_bytes;
-  placement.requested_bytes = spec.bytes(*repo_);
+  placement.requested_bytes = outcome.requested_bytes;
 
   // Plain hits ship an image that already exists on disk: no build, no
   // fault surface.

@@ -205,7 +205,8 @@ Cache::Outcome ShardedCache::request(const spec::Specification& spec) {
   const util::Bytes requested = spec.bytes(*repo_);
   counters_.requested_bytes.fetch_add(requested, std::memory_order_relaxed);
 
-  const Cache::Outcome outcome = serve(spec, now, requested);
+  Cache::Outcome outcome = serve(spec, now, requested);
+  outcome.requested_bytes = requested;
 
   counters_.container_efficiency_sum.fetch_add(
       outcome.image_bytes > 0

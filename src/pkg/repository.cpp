@@ -94,8 +94,12 @@ util::Result<Repository> RepositoryBuilder::build() && {
     }
   }
 
+  repo.sizes_.reserve(n);
   repo.total_bytes_ = 0;
-  for (const auto& info : repo.packages_) repo.total_bytes_ += info.size;
+  for (const auto& info : repo.packages_) {
+    repo.sizes_.push_back(info.size);
+    repo.total_bytes_ += info.size;
+  }
 
   return repo;
 }
@@ -126,7 +130,7 @@ util::DynamicBitset Repository::closure_of(std::span<const PackageId> selection)
 util::Bytes Repository::bytes_of(const util::DynamicBitset& set) const {
   assert(set.size() == size());
   util::Bytes total = 0;
-  set.for_each_set([&](std::size_t i) { total += packages_[i].size; });
+  set.for_each_set([&](std::size_t i) { total += sizes_[i]; });
   return total;
 }
 

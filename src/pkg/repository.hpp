@@ -100,6 +100,9 @@ class Repository {
   Repository() = default;
 
   std::vector<PackageInfo> packages_;
+  /// packages_[i].size, contiguous: bytes_of reads one 8-byte entry per
+  /// set bit instead of striding over whole PackageInfo records.
+  std::vector<util::Bytes> sizes_;
   std::unordered_map<std::string, PackageId> by_key_;
   std::vector<util::DynamicBitset> closures_;
   std::vector<std::vector<PackageId>> reverse_deps_;

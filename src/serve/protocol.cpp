@@ -5,39 +5,23 @@
 namespace landlord::serve {
 namespace {
 
-// ---- Little-endian primitive writers ----
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-void put_string(std::string& out, std::string_view s) {
-  put_u16(out, static_cast<std::uint16_t>(s.size()));
-  out.append(s);
-}
-
 // ---- Bounds-checked primitive readers ----
 //
 // A Cursor walks the payload; every read checks the remaining length and
 // latches kTruncated instead of advancing past the end, so decode code
 // can read a whole record and test failure once.
+
+/// Little-endian integers assembled from byte shifts; each compiles to a
+/// single load on little-endian hosts.
+std::uint32_t le32(const char* p) {
+  const auto* b = reinterpret_cast<const unsigned char*>(p);
+  return std::uint32_t{b[0]} | (std::uint32_t{b[1]} << 8) |
+         (std::uint32_t{b[2]} << 16) | (std::uint32_t{b[3]} << 24);
+}
+
+std::uint64_t le64(const char* p) {
+  return le32(p) | (std::uint64_t{le32(p + 4)} << 32);
+}
 
 class Cursor {
  public:
@@ -63,18 +47,12 @@ class Cursor {
 
   std::uint32_t u32() {
     const auto b = take(4);
-    if (failed_) return 0;
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(b[static_cast<std::size_t>(i)]);
-    return v;
+    return failed_ ? 0 : le32(b.data());
   }
 
   std::uint64_t u64() {
     const auto b = take(8);
-    if (failed_) return 0;
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(b[static_cast<std::size_t>(i)]);
-    return v;
+    return failed_ ? 0 : le64(b.data());
   }
 
   double f64() {
@@ -92,7 +70,7 @@ class Cursor {
       failed_ = true;
       return {};
     }
-    const auto out = bytes_.substr(pos_, n);
+    const std::string_view out(bytes_.data() + pos_, n);
     pos_ += n;
     return out;
   }
@@ -102,20 +80,12 @@ class Cursor {
   bool failed_ = false;
 };
 
-void put_header(std::string& out, FrameType type, std::uint64_t request_id,
-                std::uint32_t payload_size,
-                std::uint8_t version = kProtocolVersion) {
-  put_u16(out, kMagic);
-  put_u8(out, version);
-  put_u8(out, static_cast<std::uint8_t>(type));
-  put_u32(out, payload_size);
-  put_u64(out, request_id);
-}
-
-// ---- Raw single-pass writers (the sized-encoding path) ----
+// ---- Raw single-pass writers (the only encoding path) ----
 //
-// Same little-endian layout as the string writers above; these bump a raw
-// pointer through a buffer the caller has already sized exactly.
+// Little-endian byte-shift stores that bump a raw pointer through a
+// buffer the caller has already sized exactly. Every frame, client-sent
+// or server-sent, is computed to its exact size first and then written
+// once through these.
 
 char* w_u8(char* p, std::uint8_t v) {
   *p++ = static_cast<char>(v);
@@ -129,17 +99,16 @@ char* w_u16(char* p, std::uint16_t v) {
 }
 
 char* w_u32(char* p, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    *p++ = static_cast<char>((v >> shift) & 0xff);
-  }
-  return p;
+  p[0] = static_cast<char>(v & 0xff);
+  p[1] = static_cast<char>((v >> 8) & 0xff);
+  p[2] = static_cast<char>((v >> 16) & 0xff);
+  p[3] = static_cast<char>((v >> 24) & 0xff);
+  return p + 4;
 }
 
 char* w_u64(char* p, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    *p++ = static_cast<char>((v >> shift) & 0xff);
-  }
-  return p;
+  p = w_u32(p, static_cast<std::uint32_t>(v & 0xffffffffu));
+  return w_u32(p, static_cast<std::uint32_t>(v >> 32));
 }
 
 char* w_f64(char* p, double v) {
@@ -156,9 +125,10 @@ char* w_string(char* p, std::string_view s) {
 }
 
 char* w_header(char* p, FrameType type, std::uint64_t request_id,
-               std::size_t payload_size) {
+               std::size_t payload_size,
+               std::uint8_t version = kProtocolVersion) {
   p = w_u16(p, kMagic);
-  p = w_u8(p, kProtocolVersion);
+  p = w_u8(p, version);
   p = w_u8(p, static_cast<std::uint8_t>(type));
   p = w_u32(p, static_cast<std::uint32_t>(payload_size));
   return w_u64(p, request_id);
@@ -182,27 +152,49 @@ std::size_t placement_payload_size(const PlacementReply& reply) {
   return 8 + 1 + 1 + 4 + 8 + 8 + 8 + 8 + 2 + reply.error.size();
 }
 
-std::string frame_of(FrameType type, std::uint64_t request_id,
-                     std::string_view payload,
-                     std::uint8_t version = kProtocolVersion) {
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  put_header(out, type, request_id, static_cast<std::uint32_t>(payload.size()),
-             version);
-  out.append(payload);
-  return out;
+/// Payload bytes of one flattened submit.
+std::size_t submit_payload_size(const SubmitRequest& request) {
+  std::size_t size = 8 + 4 + 4 * request.packages.size() + 2;
+  for (const auto& constraint : request.constraints) {
+    size += 1 + 2 + constraint.package.size() + 2 + constraint.version.size();
+  }
+  return size;
 }
 
-void put_submit(std::string& out, const SubmitRequest& request) {
-  put_u64(out, request.client_id);
-  put_u32(out, static_cast<std::uint32_t>(request.packages.size()));
-  for (const std::uint32_t id : request.packages) put_u32(out, id);
-  put_u16(out, static_cast<std::uint16_t>(request.constraints.size()));
+char* w_submit(char* p, const SubmitRequest& request) {
+  p = w_u64(p, request.client_id);
+  p = w_u32(p, static_cast<std::uint32_t>(request.packages.size()));
+  for (const std::uint32_t id : request.packages) p = w_u32(p, id);
+  p = w_u16(p, static_cast<std::uint16_t>(request.constraints.size()));
   for (const auto& constraint : request.constraints) {
-    put_u8(out, static_cast<std::uint8_t>(constraint.op));
-    put_string(out, constraint.package);
-    put_string(out, constraint.version);
+    p = w_u8(p, static_cast<std::uint8_t>(constraint.op));
+    p = w_string(p, constraint.package);
+    p = w_string(p, constraint.version);
   }
+  return p;
+}
+
+/// One complete kSubmit (exactly one request) or kBatchSubmit frame,
+/// sized first and written once. Version 2 frames carry the
+/// [session_id][deadline_ms] prefix.
+std::string encode_submits(FrameType type, std::uint8_t version,
+                           std::uint64_t request_id,
+                           std::span<const SubmitRequest> requests,
+                           std::uint64_t session_id = 0,
+                           std::uint32_t deadline_ms = 0) {
+  const bool v2 = version == kProtocolVersion2;
+  const bool batch = type == FrameType::kBatchSubmit;
+  std::size_t payload = (v2 ? kSubmitPrefixV2Bytes : 0) + (batch ? 4 : 0);
+  for (const auto& request : requests) payload += submit_payload_size(request);
+  std::string out(kHeaderSize + payload, '\0');
+  char* p = w_header(out.data(), type, request_id, payload, version);
+  if (v2) {
+    p = w_u64(p, session_id);
+    p = w_u32(p, deadline_ms);
+  }
+  if (batch) p = w_u32(p, static_cast<std::uint32_t>(requests.size()));
+  for (const auto& request : requests) p = w_submit(p, request);
+  return out;
 }
 
 DecodeStatus read_submit(Cursor& cursor, std::size_t universe,
@@ -215,21 +207,33 @@ DecodeStatus read_submit(Cursor& cursor, std::size_t universe,
   }
   // Allocation cap: each package id takes 4 payload bytes, so a count
   // the remaining payload cannot hold is hostile (or truncated) and must
-  // be refused *before* reserve() — with universe == 0 (client side,
-  // corpus tooling) the range check above does not bound it, and a
-  // 16-byte header + u32 count could otherwise demand a multi-GB
-  // allocation.
+  // be refused *before* the id vector is sized — with universe == 0
+  // (client side, corpus tooling) the range check above does not bound
+  // it, and a 16-byte header + u32 count could otherwise demand a
+  // multi-GB allocation.
   if (package_count > cursor.remaining() / 4) return DecodeStatus::kTruncated;
-  out.packages.clear();
-  out.packages.reserve(package_count);
-  std::uint32_t previous = 0;
-  for (std::uint32_t i = 0; i < package_count; ++i) {
-    const std::uint32_t id = cursor.u32();
-    if (cursor.failed()) return DecodeStatus::kTruncated;
-    if (universe != 0 && id >= universe) return DecodeStatus::kPackageOutOfRange;
-    if (i > 0 && id <= previous) return DecodeStatus::kUnsortedPackages;
-    previous = id;
-    out.packages.push_back(id);
+  // The whole id list in one read, assembled and order-checked in one
+  // branch-free loop that vectorises. A strictly increasing list is in
+  // range iff its last id is. Only a malformed list is walked again, to
+  // report its first failing id (range before order), so statuses are
+  // those of a reader that checks one id at a time.
+  const auto ids = cursor.raw(std::size_t{package_count} * 4);
+  if (cursor.failed()) return DecodeStatus::kTruncated;
+  out.packages.resize(package_count);
+  std::uint32_t* const dst = out.packages.data();
+  std::uint32_t unsorted = 0;
+  if (package_count > 0) dst[0] = le32(ids.data());
+  for (std::size_t i = 1; i < package_count; ++i) {
+    const std::uint32_t id = le32(ids.data() + 4 * i);
+    unsorted |= id <= le32(ids.data() + 4 * (i - 1)) ? 1u : 0u;
+    dst[i] = id;
+  }
+  const std::uint64_t limit = universe != 0 ? universe : std::uint64_t{1} << 32;
+  if (unsorted != 0 || (package_count > 0 && dst[package_count - 1] >= limit)) {
+    for (std::size_t i = 0;; ++i) {
+      if (dst[i] >= limit) return DecodeStatus::kPackageOutOfRange;
+      if (i > 0 && dst[i] <= dst[i - 1]) return DecodeStatus::kUnsortedPackages;
+    }
   }
   const std::uint16_t constraint_count = cursor.u16();
   if (cursor.failed()) return DecodeStatus::kTruncated;
@@ -283,41 +287,30 @@ DecodeStatus read_placement(Cursor& cursor, PlacementReply& out) {
 }  // namespace
 
 std::string encode_submit(std::uint64_t request_id, const SubmitRequest& request) {
-  std::string payload;
-  put_submit(payload, request);
-  return frame_of(FrameType::kSubmit, request_id, payload);
+  return encode_submits(FrameType::kSubmit, kProtocolVersion, request_id,
+                        {&request, 1});
 }
 
 std::string encode_batch_submit(std::uint64_t request_id,
                                 std::span<const SubmitRequest> requests) {
-  std::string payload;
-  put_u32(payload, static_cast<std::uint32_t>(requests.size()));
-  for (const auto& request : requests) put_submit(payload, request);
-  return frame_of(FrameType::kBatchSubmit, request_id, payload);
+  return encode_submits(FrameType::kBatchSubmit, kProtocolVersion, request_id,
+                        requests);
 }
 
 std::string encode_submit_v2(std::uint64_t request_id,
                              const SubmitRequest& request,
                              std::uint64_t session_id,
                              std::uint32_t deadline_ms) {
-  std::string payload;
-  put_u64(payload, session_id);
-  put_u32(payload, deadline_ms);
-  put_submit(payload, request);
-  return frame_of(FrameType::kSubmit, request_id, payload, kProtocolVersion2);
+  return encode_submits(FrameType::kSubmit, kProtocolVersion2, request_id,
+                        {&request, 1}, session_id, deadline_ms);
 }
 
 std::string encode_batch_submit_v2(std::uint64_t request_id,
                                    std::span<const SubmitRequest> requests,
                                    std::uint64_t session_id,
                                    std::uint32_t deadline_ms) {
-  std::string payload;
-  put_u64(payload, session_id);
-  put_u32(payload, deadline_ms);
-  put_u32(payload, static_cast<std::uint32_t>(requests.size()));
-  for (const auto& request : requests) put_submit(payload, request);
-  return frame_of(FrameType::kBatchSubmit, request_id, payload,
-                  kProtocolVersion2);
+  return encode_submits(FrameType::kBatchSubmit, kProtocolVersion2, request_id,
+                        requests, session_id, deadline_ms);
 }
 
 std::string encode_placement(std::uint64_t request_id, const PlacementReply& reply) {
@@ -334,7 +327,9 @@ std::string encode_batch_placement(std::uint64_t request_id,
 }
 
 std::string encode_ping(std::uint64_t request_id) {
-  return frame_of(FrameType::kPing, request_id, {});
+  std::string out(kEmptyFrameWireSize, '\0');
+  w_header(out.data(), FrameType::kPing, request_id, 0);
+  return out;
 }
 
 std::string encode_pong(std::uint64_t request_id) {
@@ -344,7 +339,9 @@ std::string encode_pong(std::uint64_t request_id) {
 }
 
 std::string encode_stats_request(std::uint64_t request_id) {
-  return frame_of(FrameType::kStats, request_id, {});
+  std::string out(kEmptyFrameWireSize, '\0');
+  w_header(out.data(), FrameType::kStats, request_id, 0);
+  return out;
 }
 
 std::string encode_stats_reply(std::uint64_t request_id, const StatsReply& stats) {

@@ -260,9 +260,10 @@ struct Frame {
 // a caller-provided buffer of exactly that many bytes, returning one past
 // the last byte written. The payload length is known before the first
 // byte is laid down, so the header is written once — no intermediate
-// payload string, no length patching. The string encoders above are thin
-// wrappers over these writers, so both paths emit byte-identical frames;
-// the protocol suite pins that equivalence.
+// payload string, no length patching. All string encoders above, the
+// client-sent submits included, size their frame first and write it
+// through the same raw writers, so there is one writer family; the
+// protocol suite pins the string and in-place forms byte-identical.
 
 /// kPing / kPong / kStats / kDrained: header only.
 inline constexpr std::size_t kEmptyFrameWireSize = kHeaderSize;

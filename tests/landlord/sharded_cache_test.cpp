@@ -121,12 +121,16 @@ void run_oracle(CacheConfig config, std::uint32_t shards, std::uint64_t seed) {
     const Cache::Outcome outcomes[] = {seq_indexed.request(replay.specs[index]),
                                        shd_scan.request(replay.specs[index]),
                                        shd_indexed.request(replay.specs[index])};
+    // Every outcome kind carries the spec's own size, whichever layer
+    // decided it.
+    ASSERT_EQ(expected.requested_bytes, replay.specs[index].bytes(repo));
     for (const auto& actual : outcomes) {
       ASSERT_EQ(to_value(expected.image), to_value(actual.image))
           << "decision diverged at stream position";
       ASSERT_EQ(static_cast<int>(expected.kind), static_cast<int>(actual.kind));
       ASSERT_EQ(expected.image_bytes, actual.image_bytes);
       ASSERT_EQ(expected.split, actual.split);
+      ASSERT_EQ(expected.requested_bytes, actual.requested_bytes);
     }
   }
   expect_equal_counters(seq_scan.counters(), shd_scan.counters());
