@@ -15,7 +15,7 @@
 #include "bench/common.hpp"
 
 #include "baseline/baselines.hpp"
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 #include "sim/workload.hpp"
 
 int main() {
@@ -39,7 +39,7 @@ int main() {
   core::CacheConfig cache_config;
   cache_config.alpha = 0.8;
   cache_config.capacity = 1400ULL * 1000 * 1000 * 1000;
-  core::Cache landlord_cache(repo, cache_config);
+  core::ShardedCache landlord_cache(repo, cache_config);
   util::Bytes landlord_shipped = 0;
 
   for (auto index : stream) {

@@ -10,7 +10,7 @@
 // almost everything every generation.
 #include "bench/common.hpp"
 
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 #include "sim/workload.hpp"
 
 int main() {
@@ -37,7 +37,7 @@ int main() {
     core::CacheConfig config;
     config.alpha = alpha;
     config.capacity = 1400ULL * 1000 * 1000 * 1000;
-    core::Cache cache(repo, config);
+    core::ShardedCache cache(repo, config);
 
     core::CacheCounters previous;
     for (std::uint32_t generation = 0; generation < generations; ++generation) {

@@ -12,7 +12,7 @@
 #include "bench/common.hpp"
 
 #include "baseline/baselines.hpp"
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 #include "pkg/manifest.hpp"
 #include "sim/workload.hpp"
 
@@ -41,7 +41,7 @@ package C 1 100 core
   core::CacheConfig config;
   config.alpha = 0.0;  // composition: exact reuse via subset hits
   config.capacity = 10'000;
-  core::Cache composed(repo, config);
+  core::ShardedCache composed(repo, config);
 
   util::Table table({"job", "needs", "layered ships", "composed ships"});
   const spec::Specification* jobs[] = {&j1, &j2, &j3};
@@ -86,7 +86,7 @@ int main() {
   core::CacheConfig config;
   config.alpha = 0.8;
   config.capacity = 1400ULL * 1000 * 1000 * 1000;
-  core::Cache composed(repo, config);
+  core::ShardedCache composed(repo, config);
   util::Bytes composed_shipped = 0;
   for (auto index : stream) {
     (void)refine.submit(specs[index]);

@@ -1,26 +1,23 @@
 // Concurrent decision throughput: requests/s vs thread count and shard
-// count, against the single-mutex ConcurrentCache baseline.
+// count.
 //
 // The paper deploys LANDLORD on a head node that serves a whole cluster's
 // submissions (§V); once image materialisation is offloaded, Algorithm 1
 // itself becomes the submission-path bottleneck. This bench replays the
-// standard synthetic workload from K threads through (a) the single-mutex
-// core::ConcurrentCache and (b) core::ShardedCache at several shard
-// counts, and reports throughput, speedup over the sequential baseline,
-// and the contention/retry telemetry that explains the scaling (or, on a
+// standard synthetic workload from K threads through core::ShardedCache
+// at several shard counts, and reports throughput, speedup over one
+// thread at one shard (the sequential configuration), and the
+// contention/retry telemetry that explains the scaling (or, on a
 // single-core machine, the lack of it — speedups need real cores).
 //
 // Scale knobs: LANDLORD_JOBS / LANDLORD_REPEATS / LANDLORD_SEED and
 // LANDLORD_THREADS_MAX (default 8) / LANDLORD_SHARDS (default "1,4,8").
-#include <barrier>
-#include <chrono>
 #include <cstddef>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
-#include "landlord/concurrent.hpp"
 #include "sim/parallel.hpp"
 
 namespace {
@@ -40,40 +37,6 @@ sim::ParallelConfig base_config(const bench::BenchEnv& env) {
   config.workload.repetitions = env.repetitions;
   config.seed = env.seed;
   return config;
-}
-
-/// Single-mutex baseline: same round-robin deal as sim::run_parallel but
-/// every request funnels through ConcurrentCache's one lock.
-Throughput run_single_mutex(const pkg::Repository& repo,
-                            const sim::ParallelConfig& config,
-                            std::uint32_t threads) {
-  util::Rng root(config.seed);
-  sim::WorkloadGenerator generator(repo, config.workload, root.split(1));
-  const auto specs = generator.unique_specifications();
-  const auto stream = generator.request_stream();
-
-  core::ConcurrentCache cache(repo, config.cache);
-  std::barrier start_line(static_cast<std::ptrdiff_t>(threads) + 1);
-  std::vector<std::jthread> workers;
-  workers.reserve(threads);
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      start_line.arrive_and_wait();
-      for (std::size_t i = t; i < stream.size(); i += threads) {
-        cache.request(specs[stream[i]]);
-      }
-    });
-  }
-  const auto begin = std::chrono::steady_clock::now();
-  start_line.arrive_and_wait();
-  workers.clear();
-  const auto seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - begin)
-                           .count();
-  Throughput out;
-  out.requests_per_second =
-      seconds > 0.0 ? static_cast<double>(stream.size()) / seconds : 0.0;
-  return out;
 }
 
 Throughput run_sharded(const pkg::Repository& repo, sim::ParallelConfig config,
@@ -121,25 +84,19 @@ int main() {
   const auto max_threads = static_cast<std::uint32_t>(
       bench::env_u64("LANDLORD_THREADS_MAX", 8));
 
-  util::Table table({"cache", "shards", "threads", "req/s", "speedup",
-                     "retries", "contentions"});
+  util::Table table({"shards", "threads", "req/s", "speedup", "retries",
+                     "contentions"});
 
-  // Sequential reference: the single-mutex cache on one thread.
-  const auto reference = run_single_mutex(repo, config, 1);
-  const double base_rate = reference.requests_per_second;
+  // Sequential reference: one thread through one shard.
+  const double base_rate = run_sharded(repo, config, 1, 1).requests_per_second;
   auto speedup = [base_rate](double rate) {
     return base_rate > 0.0 ? rate / base_rate : 0.0;
   };
 
   for (std::uint32_t threads = 1; threads <= max_threads; threads *= 2) {
-    const auto mutex_run =
-        threads == 1 ? reference : run_single_mutex(repo, config, threads);
-    table.add_row({"mutex", "-", std::to_string(threads),
-                   util::fmt(mutex_run.requests_per_second, 0),
-                   util::fmt(speedup(mutex_run.requests_per_second)), "-", "-"});
     for (const auto shards : shard_counts) {
       const auto run = run_sharded(repo, config, threads, shards);
-      table.add_row({"sharded", std::to_string(shards), std::to_string(threads),
+      table.add_row({std::to_string(shards), std::to_string(threads),
                      util::fmt(run.requests_per_second, 0),
                      util::fmt(speedup(run.requests_per_second)),
                      util::fmt(run.retries), util::fmt(run.contentions)});
@@ -147,7 +104,7 @@ int main() {
   }
 
   bench::emit(table, env, "micro_concurrent");
-  std::cout << "speedup is relative to the 1-thread single-mutex run; "
-               "sharded scaling requires as many real cores as threads.\n";
+  std::cout << "speedup is relative to one thread at one shard; scaling "
+               "requires as many real cores as threads.\n";
   return 0;
 }

@@ -9,10 +9,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <vector>
 
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/protocol.hpp"
@@ -124,7 +125,7 @@ void BM_CacheRequest(benchmark::State& state) {
   core::CacheConfig config;
   config.alpha = 0.8;
   config.capacity = repo().total_bytes() * 10;
-  core::Cache cache(repo(), config);
+  core::ShardedCache cache(repo(), config);
 
   sim::WorkloadConfig workload;
   workload.unique_jobs = static_cast<std::uint32_t>(state.range(0));
@@ -150,7 +151,7 @@ void BM_CacheRequestTimeSeries(benchmark::State& state) {
   config.alpha = 0.8;
   config.capacity = repo().total_bytes() * 10;
   config.record_time_series = true;
-  core::Cache cache(repo(), config);
+  core::ShardedCache cache(repo(), config);
 
   sim::WorkloadConfig workload;
   workload.unique_jobs = static_cast<std::uint32_t>(state.range(0));
@@ -171,7 +172,7 @@ void BM_CacheRequestMinHashPolicy(benchmark::State& state) {
   config.alpha = 0.8;
   config.capacity = repo().total_bytes() * 10;
   config.policy = core::MergePolicy::kMinHashLsh;
-  core::Cache cache(repo(), config);
+  core::ShardedCache cache(repo(), config);
 
   sim::WorkloadConfig workload;
   workload.unique_jobs = static_cast<std::uint32_t>(state.range(0));
@@ -200,9 +201,9 @@ BENCHMARK(BM_CacheRequestMinHashPolicy)->Arg(200)->Arg(500);
 /// image — every probe is a superset hit, like the steady-state HTC
 /// workload. peek_* probes bypass the memo and the LRU stamps, so the
 /// postings/scan paths are timed head-to-head on frozen state.
-core::Cache warm_cache(std::int64_t images, bool decision_index,
-                       std::vector<spec::Specification>* probes = nullptr,
-                       bool adaptive = false) {
+std::unique_ptr<core::ShardedCache> warm_cache(
+    std::int64_t images, bool decision_index,
+    std::vector<spec::Specification>* probes = nullptr, bool adaptive = false) {
   core::CacheConfig config;
   config.alpha = 0.0;
   config.capacity = repo().total_bytes() * 1000;
@@ -211,7 +212,7 @@ core::Cache warm_cache(std::int64_t images, bool decision_index,
   // postings at every size; _Adaptive keeps the default cutover to time
   // what a stock config actually does.
   if (!adaptive) config.scan_cutover = 0;
-  core::Cache cache(repo(), config);
+  auto cache = std::make_unique<core::ShardedCache>(repo(), config);
 
   util::Rng rng(10);
   for (std::int64_t i = 0; i < images; ++i) {
@@ -219,8 +220,8 @@ core::Cache warm_cache(std::int64_t images, bool decision_index,
     if (probes != nullptr && (i % std::max<std::int64_t>(1, images / 64)) == 0) {
       probes->push_back(spec::Specification(contents));
     }
-    (void)cache.adopt(std::move(contents), {}, /*hits=*/0, /*merge_count=*/0,
-                      /*version=*/0);
+    (void)cache->adopt(std::move(contents), {}, /*hits=*/0, /*merge_count=*/0,
+                       /*version=*/0);
   }
   return cache;
 }
@@ -230,7 +231,7 @@ void BM_FindSuperset_Index(benchmark::State& state) {
   auto cache = warm_cache(state.range(0), /*decision_index=*/true, &probes);
   std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.peek_superset(probes[next]));
+    benchmark::DoNotOptimize(cache->peek_superset(probes[next]));
     next = (next + 1) % probes.size();
   }
 }
@@ -241,7 +242,7 @@ void BM_FindSuperset_Scan(benchmark::State& state) {
   auto cache = warm_cache(state.range(0), /*decision_index=*/false, &probes);
   std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.peek_superset(probes[next]));
+    benchmark::DoNotOptimize(cache->peek_superset(probes[next]));
     next = (next + 1) % probes.size();
   }
 }
@@ -258,7 +259,7 @@ void BM_FindSuperset_Adaptive(benchmark::State& state) {
                           /*adaptive=*/true);
   std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.peek_superset(probes[next]));
+    benchmark::DoNotOptimize(cache->peek_superset(probes[next]));
     next = (next + 1) % probes.size();
   }
 }
@@ -267,7 +268,7 @@ BENCHMARK(BM_FindSuperset_Adaptive)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_EvictVictim_Index(benchmark::State& state) {
   auto cache = warm_cache(state.range(0), /*decision_index=*/true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.peek_victim());
+    benchmark::DoNotOptimize(cache->peek_victim());
   }
 }
 BENCHMARK(BM_EvictVictim_Index)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
@@ -275,7 +276,7 @@ BENCHMARK(BM_EvictVictim_Index)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_EvictVictim_Scan(benchmark::State& state) {
   auto cache = warm_cache(state.range(0), /*decision_index=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.peek_victim());
+    benchmark::DoNotOptimize(cache->peek_victim());
   }
 }
 BENCHMARK(BM_EvictVictim_Scan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
@@ -288,7 +289,7 @@ void BM_MemoHit(benchmark::State& state) {
   auto cache = warm_cache(state.range(0), /*decision_index=*/true, &probes);
   const auto& spec = probes.front();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.request(spec));
+    benchmark::DoNotOptimize(cache->request(spec));
   }
 }
 BENCHMARK(BM_MemoHit)->Arg(100)->Arg(1000)->Arg(10000);

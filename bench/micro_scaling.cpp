@@ -9,7 +9,7 @@
 // starts paying.
 #include <benchmark/benchmark.h>
 
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
 #include "sim/workload.hpp"
 
@@ -42,7 +42,7 @@ void BM_RequestVsUniverse(benchmark::State& state) {
   config.alpha = 0.8;
   config.policy = Policy;
   config.capacity = repo.total_bytes() * 100;
-  core::Cache cache(repo, config);
+  core::ShardedCache cache(repo, config);
 
   sim::WorkloadConfig workload;
   workload.unique_jobs = images;

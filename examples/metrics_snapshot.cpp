@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   const auto& repo = pkg::default_repository(options->seed);
   obs::Observability obs(1 << 16);
 
-  // Phase 1: a plain simulation through the sequential cache.
+  // Phase 1: a plain single-threaded simulation.
   sim::SimulationConfig sim_config;
   sim_config.cache.alpha = 0.8;
   sim_config.cache.capacity = 1400ULL * 1000 * 1000 * 1000;

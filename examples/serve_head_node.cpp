@@ -21,9 +21,8 @@
 //
 // --heads N stands up N servers over ONE shared Landlord (and one obs
 // registry): the multi-head topology from the XCache-style deployments —
-// several socket front ends, one repository of record. Requires a
-// sharded decision layer (--shards >= 2); the load generator spreads its
-// connections across the heads round-robin.
+// several socket front ends, one repository of record. The load
+// generator spreads its connections across the heads round-robin.
 //
 // --bench starts the same server(s) in-process, runs the load generator
 // against them over loopback, and prints one JSON report to stdout —
@@ -342,12 +341,6 @@ int main(int argc, char** argv) {
   }
   if (options->heads == 0) {
     std::cerr << "--heads must be >= 1\n";
-    return 2;
-  }
-  if (options->heads > 1 && options->shards <= 1) {
-    std::cerr << "--heads > 1 needs --shards >= 2: each head serializes its "
-                 "own submissions, so only a sharded decision layer is safe "
-                 "to share across heads\n";
     return 2;
   }
   if (options->heads > 1 && options->port != 0) {

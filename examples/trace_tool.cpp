@@ -11,7 +11,7 @@
 #include <iostream>
 #include <string>
 
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
 #include "sim/trace.hpp"
 #include "sim/workload.hpp"
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    core::Cache cache(repo, config);
+    core::ShardedCache cache(repo, config);
     for (auto index : trace.stream) (void)cache.request(trace.specs[index]);
 
     const auto& counters = cache.counters();

@@ -69,7 +69,8 @@ echo "== stage 3: ASan+UBSan build + fault/dispatch/serve/servefault/cas tests =
 # servefault suite replays the socket-chaos battery so fragmented frames
 # and mid-teardown buffers cannot hide over-reads. The cas suite does
 # the same for the chunk manifest codec (truncation/mutation sweeps,
-# random garbage).
+# random garbage). UBSan is built with -fno-sanitize-recover=undefined
+# (CMakeLists.txt), so any undefined behaviour fails the test that hit it.
 cmake -B build-asan -S . -DLANDLORD_SANITIZE=address,undefined \
   -DLANDLORD_BUILD_BENCH=OFF -DLANDLORD_BUILD_EXAMPLES=OFF
 cmake --build build-asan --target fault_tests dispatch_tests serve_tests \

@@ -96,7 +96,7 @@ BatchResult run_batch(const pkg::Repository& repo,
     }
   }
 
-  result.cache_counters = landlord.cache().counters();
+  result.cache_counters = landlord.counters();
   if (!result.jobs.empty()) {
     double wait = 0.0, prep = 0.0;
     for (const auto& record : result.jobs) {

@@ -29,7 +29,7 @@ enum class EvictionPolicy : std::uint8_t {
 };
 
 /// The fields a victim decision depends on, snapshotted from an Image.
-/// Shared between the sequential Cache and the ShardedCache so both pick
+/// Shared by the victim scan and the ordered eviction index so both pick
 /// bit-identical victims from identical states.
 struct EvictionKey {
   std::uint64_t last_used = 0;
@@ -41,8 +41,8 @@ struct EvictionKey {
 /// True iff `a` should be evicted before `b` under `policy`. Fully
 /// deterministic: every policy falls through to the older LRU stamp and
 /// finally the smaller image id, so victim choice never depends on hash
-/// map iteration order (a precondition for the sharded/sequential
-/// equivalence oracle).
+/// map iteration order or shard count (a precondition for the
+/// shard-count equivalence oracle).
 [[nodiscard]] inline bool evict_before(EvictionPolicy policy,
                                        const EvictionKey& a,
                                        const EvictionKey& b) noexcept {

@@ -67,9 +67,8 @@ struct DecisionIndexStats {
 };
 
 /// Per-image-map decision index: inverted postings for superset hits
-/// plus the ordered eviction set. Deliberately holds no pointer to the
-/// image map (core::Cache is moved wholesale on restore); every query
-/// takes the map as a parameter and the two must be mutated in lockstep
+/// plus the ordered eviction set, one per shard. Deliberately holds no
+/// pointer to the image map; every query takes the map as a parameter and the two must be mutated in lockstep
 /// — reconcile() verifies that against a from-scratch rebuild.
 class DecisionIndex {
  public:

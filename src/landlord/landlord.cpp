@@ -9,14 +9,9 @@ void Landlord::wire_eviction_listener() {
   if (!builder_.delta_enabled()) return;
   // The listener fires under the cache's internal lock; ImageStore's own
   // mutex is a leaf, so the drop cannot deadlock or re-enter the cache.
-  auto on_evict = [this](ImageId id, util::Bytes) {
+  cache_->set_eviction_listener([this](ImageId id, util::Bytes) {
     builder_.image_store().drop(to_value(id));
-  };
-  if (sharded_) {
-    sharded_->set_eviction_listener(on_evict);
-  } else {
-    cache_.set_eviction_listener(on_evict);
-  }
+  });
 }
 
 std::optional<shrinkwrap::BuiltImage> Landlord::build_with_retry(
@@ -50,8 +45,7 @@ std::optional<shrinkwrap::BuiltImage> Landlord::build_with_retry(
 
 void Landlord::set_observability(obs::Observability* observability) {
   obs_ = observability;
-  cache_.set_observability(observability);
-  if (sharded_) sharded_->set_observability(observability);
+  cache_->set_observability(observability);
   if (observability == nullptr) {
     hooks_ = Hooks{};
     return;
@@ -85,15 +79,15 @@ void Landlord::set_observability(obs::Observability* observability) {
 }
 
 JobPlacement Landlord::submit(const spec::Specification& spec) {
-  JobPlacement placement = submit_impl(spec);
+  ShardedCache::Outcome outcome = cache_->request(spec);
+  JobPlacement placement = place(spec, outcome);
   if (hooks_.prep_seconds != nullptr) {
     hooks_.prep_seconds->observe(placement.prep_seconds);
   }
-  // Self-check the reporting invariants. Sequential decision layer only:
-  // under a sharded cache a racing eviction can invalidate find() after
-  // a perfectly sound placement, which would be a false positive.
-  if (hooks_.invariant_violations != nullptr && !sharded_) {
-    if (auto violation = placement_violation(*this, placement)) {
+  // Self-check the reporting invariants against the decision itself, so
+  // a racing eviction cannot turn a sound placement into a false alarm.
+  if (hooks_.invariant_violations != nullptr) {
+    if (auto violation = decision_violation(outcome, placement)) {
       hooks_.invariant_violations->inc();
       if (hooks_.trace != nullptr) {
         obs::TraceEvent event;
@@ -110,10 +104,8 @@ JobPlacement Landlord::submit(const spec::Specification& spec) {
   return placement;
 }
 
-JobPlacement Landlord::submit_impl(const spec::Specification& spec) {
-  Cache::Outcome outcome =
-      sharded_ ? sharded_->request(spec) : cache_.request(spec);
-
+JobPlacement Landlord::place(const spec::Specification& spec,
+                             ShardedCache::Outcome& outcome) {
   JobPlacement placement;
   placement.kind = outcome.kind;
   placement.image = outcome.image;
@@ -244,22 +236,39 @@ JobPlacement Landlord::submit_impl(const spec::Specification& spec) {
   return placement;
 }
 
-std::optional<std::string> placement_violation(const Landlord& landlord,
-                                               const JobPlacement& placement) {
+namespace {
+
+/// The rules that need no cache state: a failed placement carries an
+/// error; the uncached sentinel appears only degraded, at the requested
+/// size. Call only for failed or uncached placements.
+std::optional<std::string> uncached_violation(const JobPlacement& placement) {
   if (placement.failed) {
     if (placement.error.empty()) return "failed placement carries no error message";
     return std::nullopt;
   }
-  if (is_uncached(placement.image)) {
-    if (!placement.degraded) {
-      return "uncached-image sentinel on a non-degraded placement";
-    }
-    if (placement.image_bytes != placement.requested_bytes) {
-      return "uncached exact build reports " + std::to_string(placement.image_bytes) +
-             " bytes, expected the requested " +
-             std::to_string(placement.requested_bytes);
-    }
-    return std::nullopt;
+  if (!placement.degraded) {
+    return "uncached-image sentinel on a non-degraded placement";
+  }
+  if (placement.image_bytes != placement.requested_bytes) {
+    return "uncached exact build reports " + std::to_string(placement.image_bytes) +
+           " bytes, expected the requested " +
+           std::to_string(placement.requested_bytes);
+  }
+  return std::nullopt;
+}
+
+std::string degraded_insert_violation(const JobPlacement& placement) {
+  return "degraded insert placement claims resident cache image " +
+         std::to_string(to_value(placement.image)) +
+         " instead of the uncached sentinel";
+}
+
+}  // namespace
+
+std::optional<std::string> placement_violation(const Landlord& landlord,
+                                               const JobPlacement& placement) {
+  if (placement.failed || is_uncached(placement.image)) {
+    return uncached_violation(placement);
   }
   const auto image = landlord.find(placement.image);
   if (!image.has_value()) {
@@ -272,9 +281,7 @@ std::optional<std::string> placement_violation(const Landlord& landlord,
     // where the (shrunk) remainder keeps the unsplit image's id; its
     // cached size then legitimately differs from the on-disk copy served.
     if (placement.kind == RequestKind::kInsert) {
-      return "degraded insert placement claims resident cache image " +
-             std::to_string(to_value(placement.image)) +
-             " instead of the uncached sentinel";
+      return degraded_insert_violation(placement);
     }
     return std::nullopt;
   }
@@ -286,24 +293,45 @@ std::optional<std::string> placement_violation(const Landlord& landlord,
   return std::nullopt;
 }
 
+std::optional<std::string> decision_violation(const ShardedCache::Outcome& outcome,
+                                              const JobPlacement& placement) {
+  if (placement.failed || is_uncached(placement.image)) {
+    return uncached_violation(placement);
+  }
+  if (placement.degraded) {
+    // Only rung 3 serves a cached id degraded: the unsplit image the
+    // split was carved from, at its pre-split size.
+    if (placement.kind == RequestKind::kInsert) {
+      return degraded_insert_violation(placement);
+    }
+    if (!outcome.split || placement.image != outcome.split_from ||
+        placement.image_bytes != outcome.split_from_bytes) {
+      return "degraded placement reports image " +
+             std::to_string(to_value(placement.image)) +
+             " which is not the unsplit image of its decision";
+    }
+    return std::nullopt;
+  }
+  if (placement.image != outcome.image || placement.kind != outcome.kind ||
+      placement.image_bytes != outcome.image_bytes) {
+    return "placement reports image " + std::to_string(to_value(placement.image)) +
+           " (" + std::to_string(placement.image_bytes) +
+           " bytes) but the cache decided image " +
+           std::to_string(to_value(outcome.image)) + " (" +
+           std::to_string(outcome.image_bytes) + " bytes)";
+  }
+  return std::nullopt;
+}
+
 util::Result<std::size_t> Landlord::restore(std::istream& in,
                                             RestoreReport* report) {
   RestoreReport local;
   RestoreReport& out = report != nullptr ? *report : local;
 
-  std::size_t adopted = 0;
-  if (sharded_) {
-    auto fresh = std::make_unique<ShardedCache>(*repo_, sharded_->config());
-    auto result = restore_cache_into(in, *repo_, *fresh, &out);
-    if (!result.ok()) return result.error();
-    adopted = result.value();
-    sharded_ = std::move(fresh);
-  } else {
-    auto result = restore_cache(in, *repo_, cache_.config(), &out);
-    if (!result.ok()) return result.error();
-    adopted = result.value().image_count();
-    cache_ = std::move(result).value();
-  }
+  auto result = restore_cache(in, *repo_, cache_->config(), &out);
+  if (!result.ok()) return result.error();
+  cache_ = std::move(result).value();
+  const std::size_t adopted = cache_->image_count();
   degraded_.recovered_images.fetch_add(adopted, std::memory_order_relaxed);
   degraded_.lost_records.fetch_add(out.records_lost, std::memory_order_relaxed);
   // The fresh decision layer numbers images from zero again, so stale

@@ -5,9 +5,9 @@
 // creates/updates images in the cache as necessary, and finally launches
 // the job inside the prepared container." (§V, LANDLORD Deployment)
 //
-// Landlord couples the decision layer (core::Cache, Algorithm 1) with the
-// materialisation layer (shrinkwrap::ImageBuilder) so callers get both
-// the placement decision and the modelled preparation cost.
+// Landlord couples the decision layer (core::ShardedCache, Algorithm 1)
+// with the materialisation layer (shrinkwrap::ImageBuilder) so callers
+// get both the placement decision and the modelled preparation cost.
 //
 // Failure story (docs/fault_model.md): when a fault::FaultInjector is
 // attached, image builds can fail. submit() retries with exponential
@@ -29,7 +29,6 @@
 #include <string>
 
 #include "fault/fault.hpp"
-#include "landlord/cache.hpp"
 #include "landlord/persist.hpp"
 #include "landlord/sharded.hpp"
 #include "shrinkwrap/builder.hpp"
@@ -63,25 +62,21 @@ struct JobPlacement {
 
 class Landlord {
  public:
-  /// With `cache_config.shards <= 1` (the default) the decision layer is
-  /// the sequential core::Cache — today's behaviour, bit for bit. With
-  /// `shards > 1` requests route through a core::ShardedCache and
-  /// submit() may be called from multiple threads concurrently (the
-  /// builder is serialised behind its own mutex; decisions are not).
-  /// `delta` enables chunk-level delta storage for built images: rung-1
-  /// builds are recorded in the builder's ImageStore keyed by their
-  /// decision-layer image id, and evictions drop the corresponding
-  /// chains. Decisions are unaffected (tests/sim/delta_oracle_test.cpp).
+  /// submit() may be called from multiple threads concurrently at any
+  /// `cache_config.shards` (the builder is serialised behind its own
+  /// mutex; decisions take shard locks). With one submitting thread the
+  /// placements are the same at every shard count. `delta` enables
+  /// chunk-level delta storage for built images: rung-1 builds are
+  /// recorded in the builder's ImageStore keyed by their decision-layer
+  /// image id, and evictions drop the corresponding chains. Decisions are
+  /// unaffected (tests/sim/delta_oracle_test.cpp).
   Landlord(const pkg::Repository& repo, CacheConfig cache_config,
            shrinkwrap::FileTreeParams tree_params = {},
            shrinkwrap::BuildTimeModel time_model = {},
            shrinkwrap::BuildNoiseModel noise = {},
            shrinkwrap::DeltaBuildConfig delta = {})
       : repo_(&repo),
-        cache_(repo, cache_config),
-        sharded_(cache_config.shards > 1
-                     ? std::make_unique<ShardedCache>(repo, cache_config)
-                     : nullptr),
+        cache_(std::make_unique<ShardedCache>(repo, cache_config)),
         builder_(repo, tree_params, time_model, noise, delta) {
     wire_eviction_listener();
   }
@@ -102,10 +97,10 @@ class Landlord {
       backoff_rng_.reseed(injector->plan().seed ^ 0xbacc0ffULL);
     }
   }
-  /// Attaches an observability bundle to this facade and to whichever
-  /// decision layer is active (metric handles resolve once; the hot path
-  /// bumps relaxed atomics). Survives restore(): the fresh decision
-  /// layer is re-attached automatically. Pass nullptr to detach.
+  /// Attaches an observability bundle to this facade and to the decision
+  /// layer (metric handles resolve once; the hot path bumps relaxed
+  /// atomics). Survives restore(): the fresh decision layer is
+  /// re-attached automatically. Pass nullptr to detach.
   /// Instrumentation never perturbs placements. Not thread-safe against
   /// in-flight submit() calls.
   void set_observability(obs::Observability* observability);
@@ -127,39 +122,26 @@ class Landlord {
   util::Result<std::size_t> restore(std::istream& in,
                                     RestoreReport* report = nullptr);
 
-  /// The sequential decision layer. Meaningful only when shards <= 1;
-  /// sharded deployments read through counters()/find()/sharded().
-  [[nodiscard]] const Cache& cache() const noexcept { return cache_; }
-  /// The sharded decision layer, or nullptr when shards <= 1.
-  [[nodiscard]] const ShardedCache* sharded() const noexcept { return sharded_.get(); }
+  /// The decision layer. restore() replaces it, so do not keep the
+  /// reference across a restore.
+  [[nodiscard]] const ShardedCache& cache() const noexcept { return *cache_; }
   [[nodiscard]] const shrinkwrap::ImageBuilder& builder() const noexcept {
     return builder_;
   }
   [[nodiscard]] const pkg::Repository& repository() const noexcept { return *repo_; }
 
-  /// Decision-layer reads that dispatch to whichever cache is active.
-  [[nodiscard]] CacheCounters counters() const {
-    return sharded_ ? sharded_->counters() : cache_.counters();
-  }
-  [[nodiscard]] std::size_t image_count() const {
-    return sharded_ ? sharded_->image_count() : cache_.image_count();
-  }
-  [[nodiscard]] util::Bytes total_bytes() const {
-    return sharded_ ? sharded_->total_bytes() : cache_.total_bytes();
-  }
-  [[nodiscard]] util::Bytes unique_bytes() const {
-    return sharded_ ? sharded_->unique_bytes() : cache_.unique_bytes();
-  }
-  [[nodiscard]] std::optional<Image> find(ImageId id) const {
-    return sharded_ ? sharded_->find(id) : cache_.find(id);
-  }
-  /// Reconciles the active decision layer's index (postings refcounts,
-  /// postings contents, eviction order) against a from-scratch rebuild.
-  /// nullopt when consistent or CacheConfig::decision_index is off; the
-  /// chaos suites call this after every crash/restore cycle.
+  /// Decision-layer reads.
+  [[nodiscard]] CacheCounters counters() const { return cache_->counters(); }
+  [[nodiscard]] std::size_t image_count() const { return cache_->image_count(); }
+  [[nodiscard]] util::Bytes total_bytes() const { return cache_->total_bytes(); }
+  [[nodiscard]] util::Bytes unique_bytes() const { return cache_->unique_bytes(); }
+  [[nodiscard]] std::optional<Image> find(ImageId id) const { return cache_->find(id); }
+  /// Reconciles the decision index (postings refcounts, postings
+  /// contents, eviction order) against a from-scratch rebuild. nullopt
+  /// when consistent or CacheConfig::decision_index is off; the chaos
+  /// suites call this after every crash/restore cycle.
   [[nodiscard]] std::optional<std::string> check_decision_index() const {
-    return sharded_ ? sharded_->check_decision_index()
-                    : cache_.check_decision_index();
+    return cache_->check_decision_index();
   }
 
   /// Total modelled seconds spent preparing images so far (builds plus
@@ -181,8 +163,10 @@ class Landlord {
   }
 
  private:
-  /// submit() minus the invariant self-check and prep histogram.
-  [[nodiscard]] JobPlacement submit_impl(const spec::Specification& spec);
+  /// Materialises a decided outcome: submit() minus the invariant
+  /// self-check and prep histogram. Consumes `outcome.contents`.
+  [[nodiscard]] JobPlacement place(const spec::Specification& spec,
+                                   ShardedCache::Outcome& outcome);
 
   /// Builds `spec` under build_mutex_, retrying per backoff_ while the
   /// injector keeps failing the `op` class. Accumulates modelled waits
@@ -192,14 +176,13 @@ class Landlord {
       double& backoff_seconds, std::uint32_t& retries,
       std::uint64_t image_key = shrinkwrap::kNoImageKey);
 
-  /// Connects the active decision layer's eviction stream to the
-  /// builder's delta store so evicted images release their chunk chains.
+  /// Connects the decision layer's eviction stream to the builder's
+  /// delta store so evicted images release their chunk chains.
   /// No-op (no listener installed) when delta storage is disabled.
   void wire_eviction_listener();
 
   const pkg::Repository* repo_;
-  Cache cache_;
-  std::unique_ptr<ShardedCache> sharded_;
+  std::unique_ptr<ShardedCache> cache_;  ///< replaced wholesale by restore()
   shrinkwrap::ImageBuilder builder_;
   std::mutex build_mutex_;  ///< serialises builder_ under concurrent submit()
   std::atomic<double> prep_seconds_ = 0.0;
@@ -253,9 +236,17 @@ class Landlord {
 /// rung-3 fallback served may since have been fully consumed or evicted;
 /// the worker's on-disk copy is what matters.
 /// Returns a description of the violation, or nullopt when sound. Used
-/// by Landlord's own self-check (when observability is attached, with
-/// the sequential decision layer) and by the chaos/fault test suites.
+/// by the chaos/fault test suites after sequential submits; a racing
+/// eviction can make find() miss a sound placement's image, so
+/// concurrent callers check with decision_violation() instead.
 [[nodiscard]] std::optional<std::string> placement_violation(
     const Landlord& landlord, const JobPlacement& placement);
+
+/// The same invariants, checked against the Outcome the decision layer
+/// returned (read under the decision's lock) instead of a later find():
+/// race-free, so Landlord::submit runs it on every placement at any
+/// shard count when observability is attached.
+[[nodiscard]] std::optional<std::string> decision_violation(
+    const ShardedCache::Outcome& outcome, const JobPlacement& placement);
 
 }  // namespace landlord::core

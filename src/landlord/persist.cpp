@@ -350,20 +350,14 @@ Parsed parse_snapshot(std::istream& in, const pkg::Repository& repo) {
 
 }  // namespace
 
-void save_cache(std::ostream& out, const Cache& cache, const pkg::Repository& repo,
-                SnapshotFormat format) {
-  std::vector<Image> images;
-  cache.for_each_image([&images](const Image& image) { images.push_back(image); });
-  write_snapshot(out, std::move(images), repo, cache.total_bytes(), format);
-}
-
 void save_cache(std::ostream& out, const ShardedCache& cache,
                 const pkg::Repository& repo, SnapshotFormat format) {
   write_snapshot(out, cache.snapshot_images(), repo, cache.total_bytes(), format);
 }
 
-util::Result<Cache> restore_cache(std::istream& in, const pkg::Repository& repo,
-                                  CacheConfig config, RestoreReport* report) {
+util::Result<std::unique_ptr<ShardedCache>> restore_cache(
+    std::istream& in, const pkg::Repository& repo, CacheConfig config,
+    RestoreReport* report) {
   auto parsed = parse_snapshot(in, repo);
   if (report != nullptr) *report = parsed.report;
   if (parsed.fatal.has_value()) return *parsed.fatal;
@@ -371,29 +365,15 @@ util::Result<Cache> restore_cache(std::istream& in, const pkg::Repository& repo,
   // Adopt in snapshot (LRU) order. If the new budget is smaller than the
   // snapshot, adopt() evicts the least-recently-adopted images — exactly
   // the right casualties.
-  Cache cache(repo, config);
+  auto cache = std::make_unique<ShardedCache>(repo, config);
   for (auto& record : parsed.records) {
-    (void)cache.adopt(std::move(record.contents), std::move(record.constraints),
-                      record.hits, record.merge_count, record.version);
+    (void)cache->adopt(std::move(record.contents), std::move(record.constraints),
+                       record.hits, record.merge_count, record.version);
   }
   return cache;
 }
 
-util::Result<std::size_t> restore_cache_into(std::istream& in,
-                                             const pkg::Repository& repo,
-                                             ShardedCache& cache,
-                                             RestoreReport* report) {
-  auto parsed = parse_snapshot(in, repo);
-  if (report != nullptr) *report = parsed.report;
-  if (parsed.fatal.has_value()) return *parsed.fatal;
-  for (auto& record : parsed.records) {
-    (void)cache.adopt(std::move(record.contents), std::move(record.constraints),
-                      record.hits, record.merge_count, record.version);
-  }
-  return parsed.records.size();
-}
-
-bool save_cache_file(const std::string& path, const Cache& cache,
+bool save_cache_file(const std::string& path, const ShardedCache& cache,
                      const pkg::Repository& repo, SnapshotFormat format,
                      fault::FaultInjector* faults) {
   if (faults != nullptr && faults->should_fail(fault::FaultOp::kSnapshotWrite)) {
@@ -417,10 +397,9 @@ bool save_cache_file(const std::string& path, const Cache& cache,
   return static_cast<bool>(out);
 }
 
-util::Result<Cache> restore_cache_file(const std::string& path,
-                                       const pkg::Repository& repo,
-                                       CacheConfig config, RestoreReport* report,
-                                       fault::FaultInjector* faults) {
+util::Result<std::unique_ptr<ShardedCache>> restore_cache_file(
+    const std::string& path, const pkg::Repository& repo, CacheConfig config,
+    RestoreReport* report, fault::FaultInjector* faults) {
   if (faults != nullptr && faults->should_fail(fault::FaultOp::kSnapshotRead)) {
     util::Error error{"injected snapshot read failure: " + path};
     if (report != nullptr) {

@@ -5,7 +5,7 @@
 // not discard terabytes of prepared images. This module serialises the
 // cache's *decision state* — each image's package set, constraints and
 // usage counters — to a text snapshot and restores it into a fresh
-// Cache. Image *contents* are not stored (they live in the image files
+// cache. Image *contents* are not stored (they live in the image files
 // themselves); a restore re-admits images without charging write I/O.
 //
 // Two on-disk formats (full grammar in docs/formats.md):
@@ -26,10 +26,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "fault/fault.hpp"
-#include "landlord/cache.hpp"
 #include "landlord/sharded.hpp"
 #include "util/result.hpp"
 
@@ -55,50 +55,39 @@ struct RestoreReport {
   [[nodiscard]] bool clean() const noexcept { return !truncated && !corrupted; }
 };
 
-/// Writes a snapshot of every cached image.
-void save_cache(std::ostream& out, const Cache& cache, const pkg::Repository& repo,
-                SnapshotFormat format = SnapshotFormat::kV1);
-
-/// Sharded variant: takes every shard lock (ShardedCache::snapshot_images)
-/// so the snapshot is one consistent point-in-time state even while other
-/// threads keep submitting. Same on-disk formats; a snapshot written by
-/// either cache restores into either.
+/// Writes a snapshot of every cached image. Takes every shard lock
+/// (ShardedCache::snapshot_images), so the snapshot is one consistent
+/// point-in-time state even while other threads keep submitting. A
+/// snapshot restores into a cache of any shard count.
 void save_cache(std::ostream& out, const ShardedCache& cache,
                 const pkg::Repository& repo,
                 SnapshotFormat format = SnapshotFormat::kV1);
 
-/// Restores a snapshot into a new cache with `config`. Images are
-/// re-admitted verbatim (ids are reassigned; LRU order follows snapshot
-/// order); counters start fresh except that restored images keep their
-/// hit/merge history for eviction decisions.
+/// Restores a snapshot into a new cache with `config`, homing each image
+/// onto its band-signature shard. Images are re-admitted verbatim (ids
+/// are reassigned; LRU order follows snapshot order); counters start
+/// fresh except that restored images keep their hit/merge history for
+/// eviction decisions. If the snapshot exceeds `config.capacity`, the
+/// least-recently-adopted images are trimmed.
 ///
 /// v1 snapshots fail on malformed input or unknown package keys. v2
 /// snapshots recover the valid prefix instead: the result is ok() with
 /// everything before the first bad record, and `report` (optional)
 /// carries the precise error and loss counts.
-[[nodiscard]] util::Result<Cache> restore_cache(std::istream& in,
-                                                const pkg::Repository& repo,
-                                                CacheConfig config,
-                                                RestoreReport* report = nullptr);
-
-/// Restores a snapshot into an existing (typically freshly constructed)
-/// ShardedCache, re-homing each image onto its band-signature shard.
-/// Returns the number of images adopted. The cache's own config governs
-/// capacity, so an over-budget snapshot is trimmed exactly like the
-/// sequential restore. Same v1-strict / v2-prefix-recovery semantics.
-[[nodiscard]] util::Result<std::size_t> restore_cache_into(
-    std::istream& in, const pkg::Repository& repo, ShardedCache& cache,
+[[nodiscard]] util::Result<std::unique_ptr<ShardedCache>> restore_cache(
+    std::istream& in, const pkg::Repository& repo, CacheConfig config,
     RestoreReport* report = nullptr);
 
 /// File convenience wrappers. `faults` (optional) injects snapshot I/O
 /// failures: a kSnapshotWrite fault tears the file — a deterministic
 /// prefix is written and false is returned, modelling a crash mid-write;
 /// a kSnapshotRead fault fails the open, modelling unreadable storage.
-[[nodiscard]] bool save_cache_file(const std::string& path, const Cache& cache,
+[[nodiscard]] bool save_cache_file(const std::string& path,
+                                   const ShardedCache& cache,
                                    const pkg::Repository& repo,
                                    SnapshotFormat format = SnapshotFormat::kV1,
                                    fault::FaultInjector* faults = nullptr);
-[[nodiscard]] util::Result<Cache> restore_cache_file(
+[[nodiscard]] util::Result<std::unique_ptr<ShardedCache>> restore_cache_file(
     const std::string& path, const pkg::Repository& repo, CacheConfig config,
     RestoreReport* report = nullptr, fault::FaultInjector* faults = nullptr);
 

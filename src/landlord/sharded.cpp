@@ -23,6 +23,7 @@ ShardedCache::ShardedCache(const pkg::Repository& repo, CacheConfig config)
       shard.dindex.emplace(repo.size(), config_.eviction);
     }
   }
+  if (config_.record_time_series) ledger_refs_.resize(repo.size(), 0);
 }
 
 std::unique_lock<std::mutex> ShardedCache::lock_shard(const Shard& shard) const {
@@ -42,9 +43,6 @@ void ShardedCache::set_observability(obs::Observability* observability) {
     return;
   }
   obs::Registry& reg = observability->registry;
-  // Same families the sequential Cache registers: a Landlord routes
-  // through exactly one of the two, so the shared series never
-  // double-count.
   constexpr const char* kRequestsHelp =
       "Cache requests by Algorithm 1 outcome kind.";
   hooks_.requests_hit =
@@ -67,6 +65,13 @@ void ShardedCache::set_observability(obs::Observability* observability) {
   hooks_.conflict_rejections =
       &reg.counter("landlord_cache_conflict_rejections_total", {},
                    "Merge candidates rejected for constraint conflicts.");
+  hooks_.candidate_scan = &reg.histogram(
+      "landlord_cache_candidate_scan_size",
+      {0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024},
+      {}, "Merge candidates within distance alpha per scanned request.");
+  hooks_.request_bytes =
+      &reg.histogram("landlord_cache_request_bytes", obs::default_bytes_buckets(), {},
+                     "Bytes requested per container specification.");
   hooks_.lock_contentions =
       &reg.counter("landlord_shard_lock_contentions_total", {},
                    "Shard-lock acquisitions that had to wait.");
@@ -197,15 +202,51 @@ void ShardedCache::sweep_postings(Shard& shard) {
   if (shard.dindex) shard.dindex->sweep(shard.images);
 }
 
-Cache::Outcome ShardedCache::request(const spec::Specification& spec) {
+void ShardedCache::ledger_adjust(const util::DynamicBitset& bits, bool add) {
+  if (!config_.record_time_series) return;
+  std::scoped_lock lock(ledger_mutex_);
+  bits.for_each_set([this, add](std::size_t i) {
+    const auto size = [&] {
+      return (*repo_)[pkg::package_id(static_cast<std::uint32_t>(i))].size;
+    };
+    if (add) {
+      if (ledger_refs_[i]++ == 0) ledger_unique_ += size();
+    } else {
+      assert(ledger_refs_[i] > 0 && "union ledger underflow");
+      if (--ledger_refs_[i] == 0) ledger_unique_ -= size();
+    }
+  });
+}
+
+void ShardedCache::record_sample(RequestKind kind) {
+  RequestSample sample;
+  sample.kind = kind;
+  sample.hits = counters_.hits.load(std::memory_order_relaxed);
+  sample.inserts = counters_.inserts.load(std::memory_order_relaxed);
+  sample.deletes = counters_.deletes.load(std::memory_order_relaxed);
+  sample.merges = counters_.merges.load(std::memory_order_relaxed);
+  sample.cached_bytes = total_bytes_.load(std::memory_order_acquire);
+  sample.cumulative_written = counters_.written_bytes.load(std::memory_order_relaxed);
+  sample.cumulative_requested =
+      counters_.requested_bytes.load(std::memory_order_relaxed);
+  sample.image_count = image_count_.load(std::memory_order_acquire);
+  std::scoped_lock lock(ledger_mutex_);
+  sample.unique_bytes = ledger_unique_;
+  series_.record(sample);
+}
+
+ShardedCache::Outcome ShardedCache::request(const spec::Specification& spec) {
   assert(spec.packages().universe() == repo_->size() &&
          "spec universe must match the cache's repository");
   const std::uint64_t now = clock_.fetch_add(1) + 1;
   counters_.requests.fetch_add(1, std::memory_order_relaxed);
   const util::Bytes requested = spec.bytes(*repo_);
   counters_.requested_bytes.fetch_add(requested, std::memory_order_relaxed);
+  if (hooks_.request_bytes != nullptr) {
+    hooks_.request_bytes->observe(static_cast<double>(requested));
+  }
 
-  Cache::Outcome outcome = serve(spec, now, requested);
+  Outcome outcome = serve(spec, now, requested);
   outcome.requested_bytes = requested;
 
   counters_.container_efficiency_sum.fetch_add(
@@ -213,14 +254,32 @@ Cache::Outcome ShardedCache::request(const spec::Specification& spec) {
           ? static_cast<double>(requested) / static_cast<double>(outcome.image_bytes)
           : 1.0,
       std::memory_order_relaxed);
+  if (hooks_.trace != nullptr) {
+    obs::TraceEvent event;
+    event.kind = obs::EventKind::kRequest;
+    event.detail = to_string(outcome.kind);
+    event.image = to_value(outcome.image);
+    event.bytes = outcome.image_bytes;
+    event.aux = requested;
+    hooks_.trace->record(event);
+    if (outcome.split) {
+      obs::TraceEvent split_event;
+      split_event.kind = obs::EventKind::kSplit;
+      split_event.image = to_value(outcome.split_from);
+      split_event.bytes = outcome.split_from_bytes;
+      split_event.aux = to_value(outcome.image);
+      hooks_.trace->record(split_event);
+    }
+  }
 
   enforce_budget(now);
   evict_idle(now);
+  if (config_.record_time_series) record_sample(outcome.kind);
   return outcome;
 }
 
-Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
-                                   std::uint64_t now, util::Bytes requested) {
+ShardedCache::Outcome ShardedCache::serve(const spec::Specification& spec,
+                                          std::uint64_t now, util::Bytes requested) {
   // Per-thread scratch for this request's short-lived containers
   // (Phase 2 candidate list). thread_local because serve() runs
   // concurrently; reset here reclaims the previous request's scratch.
@@ -233,12 +292,10 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
   const std::uint64_t memo_epoch = config_.decision_index ? memo_.epoch() : 0;
   if (config_.decision_index) {
     if (const auto memo = memo_.lookup(spec.packages())) {
-      bool stale = false;
-      const auto outcome =
-          apply_hit(memo->shard, to_value(memo->image), spec, now, requested, stale);
-      if (!stale) {
+      if (auto outcome =
+              apply_hit(memo->shard, to_value(memo->image), spec, now, requested)) {
         if (hooks_.memo_hit != nullptr) hooks_.memo_hit->inc();
-        return outcome;
+        return *std::move(outcome);
       }
       counters_.optimistic_retries.fetch_add(1, std::memory_order_relaxed);
       if (hooks_.optimistic_retries != nullptr) hooks_.optimistic_retries->inc();
@@ -248,54 +305,16 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
   }
 
   for (;;) {
-    // ---- Phase 1: cross-shard superset scan (smallest bytes, then
-    // lowest id — the sequential Cache's deterministic hit choice),
-    // holding one shard lock at a time. With the decision index on,
-    // each shard answers with its own postings-probe minimum; the min
-    // of per-shard minima is the same global choice the scan makes.
-    bool hit_found = false;
-    util::Bytes hit_bytes = 0;
-    std::uint64_t hit_id = 0;
-    std::size_t hit_shard = 0;
-    const auto consider_hit = [&](util::Bytes bytes, std::uint64_t id,
-                                  std::size_t s) {
-      if (!hit_found || bytes < hit_bytes ||
-          (bytes == hit_bytes && id < hit_id)) {
-        hit_found = true;
-        hit_bytes = bytes;
-        hit_id = id;
-        hit_shard = s;
-      }
-    };
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      auto lock = lock_shard(shards_[s]);
-      Shard& shard = shards_[s];
-      if (shard.dindex && !spec.packages().empty() &&
-          shard.images.size() >= config_.scan_cutover) {
-        std::size_t probe = 0;
-        if (const auto best = shard.dindex->find_superset(spec.packages(),
-                                                          shard.images, &probe)) {
-          consider_hit(shard.images.at(to_value(*best)).bytes, to_value(*best), s);
-        }
-        if (hooks_.postings_probe != nullptr) {
-          hooks_.postings_probe->observe(static_cast<double>(probe));
-        }
-      } else {
-        for (const auto& [id, image] : shard.images) {
-          if (!spec.packages().is_subset_of(image.contents)) continue;
-          consider_hit(image.bytes, id, s);
-        }
-      }
-    }
-    if (hit_found) {
+    // ---- Phase 1: cross-shard superset scan.
+    if (const auto hit = find_superset(spec)) {
       // Record the decision before applying it: a split during apply
       // bumps the epoch and correctly invalidates this entry.
       if (config_.decision_index) {
-        memo_.store(spec.packages(), ImageId{hit_id}, hit_shard, memo_epoch);
+        memo_.store(spec.packages(), ImageId{hit->id}, hit->shard, memo_epoch);
       }
-      bool stale = false;
-      const auto outcome = apply_hit(hit_shard, hit_id, spec, now, requested, stale);
-      if (!stale) return outcome;
+      if (auto outcome = apply_hit(hit->shard, hit->id, spec, now, requested)) {
+        return *std::move(outcome);
+      }
       // A racing writer evicted or shrank the chosen image between scan
       // and apply; re-run the decision.
       counters_.optimistic_retries.fetch_add(1, std::memory_order_relaxed);
@@ -303,7 +322,10 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
       continue;
     }
 
-    // ---- Phase 2: merge-candidate collection across shards.
+    // ---- Phase 2: merge-candidate collection across shards. "In the
+    // extreme case of α = 1, every pair of images is considered close
+    // and merged if possible" (§V) — so α = 1 admits even distance
+    // exactly 1 (disjoint sets), while all other thresholds are strict.
     struct MergeCandidate {
       double distance;
       std::uint64_t id;
@@ -333,13 +355,19 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
         for (const auto& [id, image] : shards_[s].images) consider(image);
       }
     }
+    if (hooks_.candidate_scan != nullptr) {
+      hooks_.candidate_scan->observe(static_cast<double>(candidates.size()));
+    }
     if (config_.policy == MergePolicy::kFirstFit) {
-      // Oldest (lowest-id) candidate first — matches the sequential cache.
+      // First-fit takes the oldest (lowest-id) close-enough image — the
+      // deterministic analogue of "first in storage order".
       std::sort(candidates.begin(), candidates.end(),
                 [](const MergeCandidate& a, const MergeCandidate& b) {
                   return a.id < b.id;
                 });
     } else {
+      // "Selection can be sorted by dj()" — closest first; distance ties
+      // break on the lower id.
       std::sort(candidates.begin(), candidates.end(),
                 [](const MergeCandidate& a, const MergeCandidate& b) {
                   if (a.distance != b.distance) return a.distance < b.distance;
@@ -348,7 +376,7 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
     }
 
     bool merged = false;
-    Cache::Outcome merge_outcome;
+    Outcome merge_outcome;
     for (const auto& candidate : candidates) {
       Shard& shard = shards_[candidate.shard];
       auto lock = lock_shard(shard);
@@ -366,7 +394,8 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
         continue;
       }
 
-      // Apply the merge (mirrors the sequential Cache's merge arm).
+      // Apply the merge: Algorithm 1's "replace j in the cache with
+      // merge(s, j)", keeping j's id.
       std::optional<util::DynamicBitset> pre_merge_bits;
       EvictionKey pre_merge_key{};
       if (shard.dindex) {
@@ -376,22 +405,31 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
       index_erase(shard, image);
       const util::Bytes pre_merge_bytes = image.bytes;
       total_bytes_.fetch_sub(image.bytes);
+      ledger_adjust(image.contents.bits(), /*add=*/false);
       image.contents.merge(spec.packages());
+      ledger_adjust(image.contents.bits(), /*add=*/true);
       image.bytes = repo_->bytes_of(image.contents.bits());
-      // Append-if-absent, like the sequential merge arm: verbatim
-      // appending let a hot image's constraint list grow without bound.
+      // Append-if-absent: workloads reuse a small set of distinct
+      // constraints, so verbatim appending made a hot image's constraint
+      // list (and every ConflictChecker pass over it) grow linearly with
+      // its merge count.
       spec::merge_constraints(image.constraints, spec.constraints());
       image.last_used = now;
       ++image.merge_count;
       ++image.version;
       if (image.lineage.size() >= config_.max_lineage) {
+        // Coalesce the two oldest entries to bound lineage growth.
         image.lineage[0].merge(image.lineage[1]);
         image.lineage.erase(image.lineage.begin() + 1);
       }
       image.lineage.push_back(spec.packages());
       total_bytes_.fetch_add(image.bytes);
-      // Delta accounting, mirroring the sequential merge arm exactly:
-      // full-rewrite counterfactual always, actual charge per the chain.
+      // "Each time a merge occurs, the resulting image must be written
+      // out in its entirety" (§VI) — that counterfactual is always
+      // tracked; with a delta chain the actual charge is only the bytes
+      // the merge added plus a manifest, until the chain caps out and the
+      // next merge repacks. Nothing a decision reads depends on it, so
+      // delta mode replays bit-identically.
       counters_.full_rewrite_bytes.fetch_add(image.bytes,
                                              std::memory_order_relaxed);
       if (hooks_.cas_full_rewrite_bytes != nullptr) {
@@ -418,6 +456,7 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
         }
         image.chain_depth = 0;
       } else {
+        // Merging unions contents, so the image can only have grown.
         const util::Bytes charge =
             (image.bytes - pre_merge_bytes) + config_.delta_manifest_bytes;
         counters_.written_bytes.fetch_add(charge, std::memory_order_relaxed);
@@ -461,7 +500,6 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
     image.constraints = spec.constraints();
     image.last_used = now;
     image.lineage.push_back(spec.packages());
-    total_bytes_.fetch_add(image.bytes);
     counters_.written_bytes.fetch_add(image.bytes, std::memory_order_relaxed);
     counters_.full_rewrite_bytes.fetch_add(image.bytes, std::memory_order_relaxed);
     if (hooks_.cas_full_rewrite_bytes != nullptr) {
@@ -469,40 +507,100 @@ Cache::Outcome ShardedCache::serve(const spec::Specification& spec,
     }
     counters_.inserts.fetch_add(1, std::memory_order_relaxed);
     if (hooks_.requests_insert != nullptr) hooks_.requests_insert->inc();
-    Cache::Outcome outcome{RequestKind::kInsert, image.id, image.bytes, false};
+    Outcome outcome{RequestKind::kInsert, image.id, image.bytes, false};
     outcome.contents = image.contents;
-    const std::size_t home =
-        signature ? (shards_.size() <= 1
-                         ? 0
-                         : static_cast<std::size_t>(
-                               spec::band_signature_hash(*signature,
-                                                         config_.lsh_bands) %
-                               shards_.size()))
-                  : home_of(spec.packages());
-    {
-      Shard& shard = shards_[home];
-      auto lock = lock_shard(shard);
-      ++shard.homed_inserts;
-      index_insert(shard, image);
-      dindex_insert(shard, image);
-      shard.images.emplace(to_value(image.id), std::move(image));
-      sweep_postings(shard);
-    }
-    image_count_.fetch_add(1);
+    admit(std::move(image));
     return outcome;
   }
 }
 
-Cache::Outcome ShardedCache::apply_hit(std::size_t shard_index, std::uint64_t id,
-                                       const spec::Specification& spec,
-                                       std::uint64_t now, util::Bytes requested,
-                                       bool& stale) {
+void ShardedCache::admit(Image image) {
+  total_bytes_.fetch_add(image.bytes);
+  ledger_adjust(image.contents.bits(), /*add=*/true);
+  const std::size_t home = home_of(image.contents);
+  {
+    auto lock = lock_shard(shards_[home]);
+    ++shards_[home].homed_inserts;
+    install_locked(shards_[home], std::move(image));
+  }
+  image_count_.fetch_add(1);
+}
+
+std::optional<ShardedCache::Located> ShardedCache::find_superset(
+    const spec::Specification& spec) {
+  // "for i ∈ I do: if s ⊆ i then return i" — any superset serves; take
+  // the smallest so jobs ship the least unrequested data, byte ties to
+  // the lower id so the choice never depends on map iteration order or
+  // shard count. With the decision index on, each shard answers with its
+  // own postings-probe minimum; the min of per-shard minima is the same
+  // global choice the scan makes.
+  std::optional<Located> best;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
+    auto lock = lock_shard(shard);
+    const auto consider = [&](const Image& image) {
+      if (!best || image.bytes < best->bytes ||
+          (image.bytes == best->bytes && to_value(image.id) < best->id)) {
+        best = Located{to_value(image.id), image.bytes, s};
+      }
+    };
+    if (shard.dindex && !spec.packages().empty() &&
+        shard.images.size() >= config_.scan_cutover) {
+      std::size_t probe = 0;
+      if (const auto id = shard.dindex->find_superset(spec.packages(), shard.images,
+                                                      &probe)) {
+        consider(shard.images.at(to_value(*id)));
+      }
+      if (hooks_.postings_probe != nullptr) {
+        hooks_.postings_probe->observe(static_cast<double>(probe));
+      }
+    } else {
+      for (const auto& [id, image] : shard.images) {
+        if (spec.packages().is_subset_of(image.contents)) consider(image);
+      }
+    }
+  }
+  return best;
+}
+
+std::optional<std::pair<EvictionKey, std::size_t>> ShardedCache::find_victim(
+    std::uint64_t now) {
+  std::optional<std::pair<EvictionKey, std::size_t>> best;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
+    auto lock = lock_shard(shard);
+    const auto consider = [&](const EvictionKey& key) {
+      if (!best || evict_before(config_.eviction, key, best->first)) best = {key, s};
+    };
+    if (shard.dindex) {
+      // Each shard's ordered index yields its local minimum in O(log n);
+      // the min of minima is the scan's global victim.
+      if (const auto key = shard.dindex->victim(now)) consider(*key);
+    } else {
+      for (const auto& [id, image] : shard.images) {
+        // Never evict the image just served.
+        if (image.last_used != now) consider(eviction_key(image));
+      }
+    }
+  }
+  return best;
+}
+
+void ShardedCache::install_locked(Shard& shard, Image image) {
+  index_insert(shard, image);
+  dindex_insert(shard, image);
+  shard.images.emplace(to_value(image.id), std::move(image));
+  sweep_postings(shard);
+}
+
+std::optional<ShardedCache::Outcome> ShardedCache::apply_hit(
+    std::size_t shard_index, std::uint64_t id, const spec::Specification& spec,
+    std::uint64_t now, util::Bytes requested) {
   Shard& shard = shards_[shard_index];
   auto lock = lock_shard(shard);
   auto it = shard.images.find(id);
   if (it == shard.images.end() || !spec.satisfied_by(it->second.contents)) {
-    stale = true;
-    return {};
+    return std::nullopt;
   }
   Image& image = it->second;
   const EvictionKey pre_touch_key = eviction_key(image);
@@ -511,18 +609,20 @@ Cache::Outcome ShardedCache::apply_hit(std::size_t shard_index, std::uint64_t id
   dindex_touch(shard, pre_touch_key, image);
   counters_.hits.fetch_add(1, std::memory_order_relaxed);
   if (hooks_.requests_hit != nullptr) hooks_.requests_hit->inc();
+  // Extension: a hit on a badly bloated image (the job uses a small
+  // fraction of what it would ship) splits it along its merge lineage;
+  // the job is served from the tightly fitting part.
   if (config_.enable_split && image.merge_count > 0 && image.bytes > 0 &&
       static_cast<double>(requested) / static_cast<double>(image.bytes) <
           config_.split_utilization) {
     return split_locked(lock, shard_index, image, spec, now);
   }
-  return {RequestKind::kHit, image.id, image.bytes, false};
+  return Outcome{RequestKind::kHit, image.id, image.bytes, false};
 }
 
-Cache::Outcome ShardedCache::split_locked(std::unique_lock<std::mutex>& source_lock,
-                                          std::size_t shard_index, Image& bloated,
-                                          const spec::Specification& spec,
-                                          std::uint64_t now) {
+ShardedCache::Outcome ShardedCache::split_locked(
+    std::unique_lock<std::mutex>& source_lock, std::size_t shard_index,
+    Image& bloated, const spec::Specification& spec, std::uint64_t now) {
   Shard& shard = shards_[shard_index];
   // Pre-split state for the decision index (apply_hit already stamped
   // the bloated image, so this key matches what the index holds).
@@ -535,9 +635,12 @@ Cache::Outcome ShardedCache::split_locked(std::unique_lock<std::mutex>& source_l
   index_erase(shard, bloated);
   const util::Bytes pre_split_bytes = bloated.bytes;
   total_bytes_.fetch_sub(bloated.bytes);
+  ledger_adjust(bloated.contents.bits(), /*add=*/false);
 
-  // Part A exactly covers the request; part B is the union of lineage
-  // entries not subsumed by it (see Cache::split_image).
+  // Part A exactly covers the request. Part B is the union of lineage
+  // entries not subsumed by the request — lineage entries are
+  // dependency-closed, so B is a valid image; constituents the request
+  // covers are dropped (their jobs are served by A).
   Image part_a;
   part_a.id = ImageId{id_counter_.fetch_add(1)};
   part_a.contents = spec.packages();
@@ -555,7 +658,8 @@ Cache::Outcome ShardedCache::split_locked(std::unique_lock<std::mutex>& source_l
     remainder_lineage.push_back(std::move(entry));
   }
 
-  // Both split parts are fresh full writes in either accounting mode.
+  // Both split parts are fresh full writes in either accounting mode (a
+  // delta against the bloated chain would pin its dead constituents).
   counters_.written_bytes.fetch_add(part_a.bytes, std::memory_order_relaxed);
   counters_.full_rewrite_bytes.fetch_add(part_a.bytes, std::memory_order_relaxed);
   if (hooks_.cas_full_rewrite_bytes != nullptr) {
@@ -564,9 +668,10 @@ Cache::Outcome ShardedCache::split_locked(std::unique_lock<std::mutex>& source_l
   counters_.splits.fetch_add(1, std::memory_order_relaxed);
   if (hooks_.splits != nullptr) hooks_.splits->inc();
   total_bytes_.fetch_add(part_a.bytes);
+  ledger_adjust(part_a.contents.bits(), /*add=*/true);
   // Carry the unsplit image's identity/size so the degradation ladder's
   // rung-3 fallback can report what the worker actually has on disk.
-  Cache::Outcome outcome{RequestKind::kHit, part_a.id, part_a.bytes, true};
+  Outcome outcome{RequestKind::kHit, part_a.id, part_a.bytes, true};
   outcome.split_from = bloated.id;
   outcome.split_from_bytes = pre_split_bytes;
   outcome.contents = part_a.contents;
@@ -580,6 +685,7 @@ Cache::Outcome ShardedCache::split_locked(std::unique_lock<std::mutex>& source_l
     ++bloated.version;
     bloated.chain_depth = 0;  // rewritten in full; the old chain is gone
     total_bytes_.fetch_add(bloated.bytes);
+    ledger_adjust(bloated.contents.bits(), /*add=*/true);
     counters_.written_bytes.fetch_add(bloated.bytes, std::memory_order_relaxed);
     counters_.full_rewrite_bytes.fetch_add(bloated.bytes,
                                            std::memory_order_relaxed);
@@ -610,22 +716,14 @@ Cache::Outcome ShardedCache::split_locked(std::unique_lock<std::mutex>& source_l
   // lower-index home is locked only after releasing the source (part A
   // is still private, so it cannot be observed half-placed).
   const std::size_t home = home_of(part_a.contents);
+  std::unique_lock<std::mutex> target_lock;
   if (home != shard_index) {
     counters_.cross_shard_moves.fetch_add(1, std::memory_order_relaxed);
     if (hooks_.cross_shard_moves != nullptr) hooks_.cross_shard_moves->inc();
     if (home < shard_index) source_lock.unlock();
-    Shard& target = shards_[home];
-    auto target_lock = lock_shard(target);
-    index_insert(target, part_a);
-    dindex_insert(target, part_a);
-    target.images.emplace(to_value(part_a.id), std::move(part_a));
-    sweep_postings(target);
-  } else {
-    index_insert(shard, part_a);
-    dindex_insert(shard, part_a);
-    shard.images.emplace(to_value(part_a.id), std::move(part_a));
-    sweep_postings(shard);
+    target_lock = lock_shard(shards_[home]);
   }
+  install_locked(shards_[home], std::move(part_a));
   image_count_.fetch_add(1);
   return outcome;
 }
@@ -636,91 +734,64 @@ void ShardedCache::rehome_locked(std::unique_lock<std::mutex>& source_lock,
   // Precondition: the caller holds `source_lock` on shards_[source_index]
   // and has already erased the image's index entries there.
   Shard& source = shards_[source_index];
-  Shard& target = shards_[target_index];
   auto node = source.images.extract(id);
   assert(!node.empty());
   sweep_postings(source);
-  if (target_index > source_index) {
-    // Increasing-index order: safe to acquire while holding the source.
-    auto target_lock = lock_shard(target);
-    index_insert(target, node.mapped());
-    const auto placed = target.images.insert(std::move(node));
-    dindex_insert(target, placed.position->second);
-    sweep_postings(target);
-  } else {
-    // Never lock a lower index while holding a higher one: extract
-    // privately, release, then lock the target. The image is briefly
-    // invisible to scans but never duplicated or lost.
-    source_lock.unlock();
-    auto target_lock = lock_shard(target);
-    index_insert(target, node.mapped());
-    const auto placed = target.images.insert(std::move(node));
-    dindex_insert(target, placed.position->second);
-    sweep_postings(target);
-  }
+  // Increasing-index order: a higher target is locked while holding the
+  // source. Never lock a lower index while holding a higher one: release
+  // the source first. The image is then briefly invisible to scans but
+  // never duplicated or lost.
+  if (target_index < source_index) source_lock.unlock();
+  auto target_lock = lock_shard(shards_[target_index]);
+  install_locked(shards_[target_index], std::move(node.mapped()));
 }
 
 void ShardedCache::enforce_budget(std::uint64_t now) {
   while (total_bytes_.load(std::memory_order_acquire) > config_.capacity &&
          image_count_.load(std::memory_order_acquire) > 1) {
-    // Global victim scan, one shard lock at a time.
-    bool found = false;
-    EvictionKey best{};
-    std::size_t best_shard = 0;
-    const auto consider_victim = [&](const EvictionKey& key, std::size_t s) {
-      if (!found || evict_before(config_.eviction, key, best)) {
-        found = true;
-        best = key;
-        best_shard = s;
-      }
-    };
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      auto lock = lock_shard(shards_[s]);
-      if (shards_[s].dindex) {
-        // Each shard's ordered index yields its local minimum in
-        // O(log n); the min of minima is the scan's global victim.
-        if (const auto key = shards_[s].dindex->victim(now)) {
-          consider_victim(*key, s);
-        }
-      } else {
-        for (const auto& [id, image] : shards_[s].images) {
-          if (image.last_used == now) continue;  // never evict the image
-                                                 // just served
-          consider_victim(EvictionKey{image.last_used, image.hits, image.bytes, id}, s);
-        }
-      }
-    }
-    if (!found) break;  // only the just-served image left
-
-    Shard& shard = shards_[best_shard];
+    const auto victim = find_victim(now);
+    if (!victim) break;  // only the just-served image left
+    const auto& [key, s] = *victim;
+    Shard& shard = shards_[s];
     auto lock = lock_shard(shard);
-    auto it = shard.images.find(best.id);
-    if (it == shard.images.end() || it->second.last_used != best.last_used ||
-        it->second.bytes != best.bytes) {
+    auto it = shard.images.find(key.id);
+    if (it == shard.images.end() || it->second.last_used != key.last_used ||
+        it->second.bytes != key.bytes) {
       // The victim was touched or evicted by a racing request; rescan.
       counters_.optimistic_retries.fetch_add(1, std::memory_order_relaxed);
       if (hooks_.optimistic_retries != nullptr) hooks_.optimistic_retries->inc();
       continue;
     }
-    total_bytes_.fetch_sub(it->second.bytes);
-    index_erase(shard, it->second);
-    dindex_erase(shard, it->second.contents.bits(), eviction_key(it->second));
-    if (hooks_.evictions_budget != nullptr) hooks_.evictions_budget->inc();
-    if (hooks_.trace != nullptr) {
-      obs::TraceEvent event;
-      event.kind = obs::EventKind::kEviction;
-      event.image = best.id;
-      event.bytes = it->second.bytes;
-      event.detail = "budget";
-      hooks_.trace->record(event);
-    }
-    const util::Bytes victim_bytes = it->second.bytes;
-    shard.images.erase(it);
+    evict_locked(shard, it, /*idle=*/false);
     sweep_postings(shard);
-    image_count_.fetch_sub(1);
-    counters_.deletes.fetch_add(1, std::memory_order_relaxed);
-    if (eviction_listener_) eviction_listener_(ImageId{best.id}, victim_bytes);
   }
+}
+
+std::unordered_map<std::uint64_t, Image>::iterator ShardedCache::evict_locked(
+    Shard& shard, std::unordered_map<std::uint64_t, Image>::iterator it, bool idle) {
+  const Image& victim = it->second;
+  total_bytes_.fetch_sub(victim.bytes);
+  ledger_adjust(victim.contents.bits(), /*add=*/false);
+  index_erase(shard, victim);
+  dindex_erase(shard, victim.contents.bits(), eviction_key(victim));
+  obs::Counter* evictions = idle ? hooks_.evictions_idle : hooks_.evictions_budget;
+  if (evictions != nullptr) evictions->inc();
+  if (hooks_.trace != nullptr) {
+    obs::TraceEvent event;
+    event.kind = obs::EventKind::kEviction;
+    event.image = to_value(victim.id);
+    event.bytes = victim.bytes;
+    event.aux = victim.hits;
+    event.detail = idle ? "idle" : "budget";
+    hooks_.trace->record(event);
+  }
+  const ImageId id = victim.id;
+  const util::Bytes bytes = victim.bytes;
+  it = shard.images.erase(it);
+  image_count_.fetch_sub(1);
+  counters_.deletes.fetch_add(1, std::memory_order_relaxed);
+  if (eviction_listener_) eviction_listener_(id, bytes);
+  return it;
 }
 
 void ShardedCache::evict_idle(std::uint64_t now) {
@@ -732,17 +803,8 @@ void ShardedCache::evict_idle(std::uint64_t now) {
       const Image& image = it->second;
       // `last_used > now` means a racing request stamped it after us.
       if (image.last_used < now && now - image.last_used > config_.max_idle_requests) {
-        total_bytes_.fetch_sub(image.bytes);
-        index_erase(shard, image);
-        dindex_erase(shard, image.contents.bits(), eviction_key(image));
-        if (hooks_.evictions_idle != nullptr) hooks_.evictions_idle->inc();
-        const ImageId victim_id = image.id;
-        const util::Bytes victim_bytes = image.bytes;
-        it = shard.images.erase(it);
+        it = evict_locked(shard, it, /*idle=*/true);
         evicted = true;
-        image_count_.fetch_sub(1);
-        counters_.deletes.fetch_add(1, std::memory_order_relaxed);
-        if (eviction_listener_) eviction_listener_(victim_id, victim_bytes);
       } else {
         ++it;
       }
@@ -767,19 +829,8 @@ ImageId ShardedCache::adopt(spec::PackageSet contents,
   image.version = version;
   image.last_used = now;
   image.lineage.push_back(image.contents);
-  total_bytes_.fetch_add(image.bytes);
   const ImageId id = image.id;
-  const std::size_t home = home_of(image.contents);
-  {
-    Shard& shard = shards_[home];
-    auto lock = lock_shard(shard);
-    ++shard.homed_inserts;
-    index_insert(shard, image);
-    dindex_insert(shard, image);
-    shard.images.emplace(to_value(id), std::move(image));
-    sweep_postings(shard);
-  }
-  image_count_.fetch_add(1);
+  admit(std::move(image));
   enforce_budget(now);
   return id;
 }
@@ -812,6 +863,10 @@ std::optional<std::string> ShardedCache::check_decision_index() const {
 }
 
 util::Bytes ShardedCache::unique_bytes() const {
+  if (config_.record_time_series) {
+    std::scoped_lock lock(ledger_mutex_);
+    return ledger_unique_;
+  }
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (const Shard& shard : shards_) locks.push_back(lock_shard(shard));
@@ -824,6 +879,23 @@ util::Bytes ShardedCache::unique_bytes() const {
     }
   }
   return any ? repo_->bytes_of(all) : 0;
+}
+
+TimeSeries ShardedCache::time_series() const {
+  std::scoped_lock lock(ledger_mutex_);
+  return series_;
+}
+
+std::optional<ImageId> ShardedCache::peek_superset(const spec::Specification& spec) {
+  const auto hit = find_superset(spec);
+  if (!hit) return std::nullopt;
+  return ImageId{hit->id};
+}
+
+std::optional<ImageId> ShardedCache::peek_victim() {
+  const auto victim = find_victim(clock_.load(std::memory_order_acquire));
+  if (!victim) return std::nullopt;
+  return ImageId{victim->first.id};
 }
 
 double ShardedCache::cache_efficiency() const {

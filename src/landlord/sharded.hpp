@@ -1,12 +1,12 @@
-// Sharded concurrent LANDLORD cache.
+// The LANDLORD decision engine: Algorithm 1 (hit / merge / insert, with
+// eviction) over an image namespace partitioned across N shards.
 //
-// core::ConcurrentCache serialises every request behind one mutex, so a
-// head node's Algorithm 1 throughput is capped at single-core speed. The
-// ShardedCache partitions the image namespace across N shards keyed by
-// the MinHash/LSH band signature of each image's contents
-// (spec::band_signature_hash), so near-duplicate specifications — the
-// ones likely to hit or merge with each other — tend to co-locate on one
-// shard while unrelated traffic proceeds in parallel on the others.
+// Shards are keyed by the MinHash/LSH band signature of each image's
+// contents (spec::band_signature_hash), so near-duplicate specifications
+// — the ones likely to hit or merge with each other — tend to co-locate
+// on one shard while unrelated traffic proceeds in parallel on the
+// others. CacheConfig::shards = 1 (the default) is the sequential case:
+// one map behind one uncontended lock.
 //
 // Concurrency protocol (per request):
 //   1. *Decision phase* — the superset scan and the merge-candidate scan
@@ -32,27 +32,39 @@
 //      revalidates it under its shard lock before erasing.
 //
 // Determinism: with one replay thread, every decision (hit choice, merge
-// candidate order, victim choice, id assignment) is bit-identical to the
-// sequential core::Cache for ANY shard count — the equivalence oracle in
-// tests/landlord/sharded_cache_test.cpp replays identical traces through
-// both and compares counters and final image sets. Multi-threaded runs
-// are linearizable per shard and preserve the cache invariants
+// candidate order, victim choice, id assignment) is the same for ANY
+// shard count, with the decision index on or off. The golden corpus
+// (tests/landlord/golden_corpus_test.cpp) pins per-request outcomes,
+// counters, snapshots and time series to the sequential reference, and
+// tests/landlord/sharded_cache_test.cpp compares shard counts and both
+// decision paths request by request. Multi-threaded runs are
+// linearizable per shard and preserve the cache invariants
 // (tests/landlord/sharded_stress_test.cpp) but their interleaving, and
 // hence exact counters, depend on the schedule.
 //
-// Unsupported in sharded mode: CacheConfig::record_time_series (the
-// per-request cache-wide union would serialise every request again); the
-// flag is ignored.
+// CacheConfig::record_time_series keeps a per-package refcount ledger
+// and the per-request series behind one leaf lock, taken only when the
+// flag is on; the request path otherwise pays a single branch for it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "landlord/cache.hpp"
+#include "landlord/image.hpp"
+#include "landlord/index.hpp"
+#include "landlord/stats.hpp"
+#include "obs/obs.hpp"
+#include "pkg/repository.hpp"
+#include "spec/minhash.hpp"
+#include "spec/specification.hpp"
 
 namespace landlord::core {
 
@@ -74,11 +86,37 @@ class ShardedCache {
   ShardedCache(const ShardedCache&) = delete;
   ShardedCache& operator=(const ShardedCache&) = delete;
 
-  /// Thread-safe Algorithm 1 request (hit / merge / insert + eviction).
-  Cache::Outcome request(const spec::Specification& spec);
+  struct Outcome {
+    RequestKind kind = RequestKind::kHit;
+    ImageId image{};
+    util::Bytes image_bytes = 0;  ///< size of the image the job will use
+    bool split = false;  ///< a bloated image was split to serve this hit
+    /// When split: id and pre-split size of the bloated image the part
+    /// was carved out of. The remainder (if any) keeps this id at a
+    /// bumped version, so a worker holding the *unsplit* image on disk
+    /// can still be served from it if rebuilding the part fails
+    /// (degradation ladder rung 3).
+    ImageId split_from{};
+    util::Bytes split_from_bytes = 0;
+    /// Contents of the decided image, copied under the decision's lock
+    /// for outcomes that build (insert, merge, split) so the caller can
+    /// materialise it even if a concurrent request evicts or rewrites
+    /// the image first. Empty for plain hits, which build nothing.
+    std::optional<spec::PackageSet> contents{};
+    /// Size the spec actually needed, computed once per request so the
+    /// caller need not walk the package set again.
+    util::Bytes requested_bytes = 0;
+  };
 
-  /// Re-admits an image from a persisted snapshot (see Cache::adopt).
-  /// Thread-safe, though restores normally run single-threaded.
+  /// Thread-safe Algorithm 1 request (hit / merge / insert + eviction).
+  /// The spec's package set must be over this cache's repository universe.
+  Outcome request(const spec::Specification& spec);
+
+  /// Re-admits an image from a persisted snapshot: contents and usage
+  /// history are adopted without charging insert counters or write I/O
+  /// (the image file already exists on disk). LRU recency follows the
+  /// order of adoption. Used by core::restore_cache; thread-safe, though
+  /// restores normally run single-threaded.
   ImageId adopt(spec::PackageSet contents,
                 std::vector<spec::VersionConstraint> constraints,
                 std::uint64_t hits, std::uint32_t merge_count,
@@ -92,13 +130,20 @@ class ShardedCache {
   [[nodiscard]] util::Bytes total_bytes() const noexcept {
     return total_bytes_.load(std::memory_order_acquire);
   }
-  /// Deduplicated footprint; takes every shard lock (increasing order).
+  /// Deduplicated footprint: bytes of the union of all image contents.
+  /// O(1) from the ledger when record_time_series is on; otherwise takes
+  /// every shard lock (increasing order) and unions.
   [[nodiscard]] util::Bytes unique_bytes() const;
   /// unique/total under the all-shard lock; 1 for an empty cache.
   [[nodiscard]] double cache_efficiency() const;
   /// Materialises the atomic ledgers into a plain counters snapshot.
   [[nodiscard]] CacheCounters counters() const;
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
+  /// Copy of the Fig. 5 per-request series (empty unless
+  /// record_time_series). Under concurrent submits each sample is
+  /// consistent with some interleaving, not necessarily with its own
+  /// request alone.
+  [[nodiscard]] TimeSeries time_series() const;
   /// Copy of the image if resident (locks its shard).
   [[nodiscard]] std::optional<Image> find(ImageId id) const;
   /// Per-shard occupancy and lock-contention counters.
@@ -113,30 +158,46 @@ class ShardedCache {
   /// rebuild; nullopt when consistent or the index is disabled.
   [[nodiscard]] std::optional<std::string> check_decision_index() const;
 
-  /// Registers a callback fired whenever an image leaves the cache (see
-  /// Cache::set_eviction_listener). Fired while the victim's shard lock
-  /// is held; the callback must not re-enter the cache. Set before
-  /// concurrent use (the slot itself is unsynchronised). nullptr
-  /// detaches.
-  void set_eviction_listener(Cache::EvictionListener listener) {
+  // ---- Read-only decision probes (benchmarks and oracles) ----
+  /// The superset image the next request for `spec` would hit, without
+  /// touching LRU stamps, counters, or the memo. With decision_index on
+  /// this is the postings probe (which may lazily compact); off, the
+  /// full scan — so the two paths can be timed and compared directly.
+  [[nodiscard]] std::optional<ImageId> peek_superset(const spec::Specification& spec);
+  /// The victim the next over-budget eviction would pick, or nullopt
+  /// when only the just-served image remains.
+  [[nodiscard]] std::optional<ImageId> peek_victim();
+
+  /// Registers a callback fired whenever an image's on-disk chain dies:
+  /// the image leaves the cache (budget, idle, or split-empty eviction —
+  /// not merges, which keep the image's id), or a split rewrote the
+  /// remainder in full (the id stays; bytes reported as 0). The
+  /// image-store owner uses it to drop the image's chunk chain. Fired
+  /// while the victim's shard lock is held, after counters are updated;
+  /// the callback must not re-enter the cache. Set before concurrent use
+  /// (the slot itself is unsynchronised). nullptr detaches.
+  using EvictionListener = std::function<void(ImageId, util::Bytes)>;
+  void set_eviction_listener(EvictionListener listener) {
     eviction_listener_ = std::move(listener);
   }
 
-  /// Attaches (or detaches, with nullptr) an observability bundle; see
-  /// Cache::set_observability for the contract. Counters are bumped
-  /// inline next to their AtomicCounters twins (so the two reconcile
-  /// exactly); per-shard occupancy gauges are only refreshed by
-  /// publish_metrics().
+  /// Attaches (or detaches, with nullptr) an observability bundle.
+  /// Metric handles are resolved once here; the request hot path then
+  /// only bumps relaxed atomics. Instrumentation never changes
+  /// decisions: an attached cache replays bit-identically to a detached
+  /// one. Non-owning; the bundle must outlive the cache or be detached.
+  /// Counters are bumped inline next to their AtomicCounters twins (so
+  /// the two reconcile exactly); per-shard occupancy gauges are only
+  /// refreshed by publish_metrics().
   void set_observability(obs::Observability* observability);
   /// Copies current per-shard occupancy/contention numbers into the
   /// attached registry's gauges. Call before rendering a snapshot; no-op
   /// when detached.
   void publish_metrics();
 
-  /// Consistent point-in-time copy of every image: all shard locks are
-  /// held (in increasing index order) for the duration, so the result is
-  /// a true snapshot — the sharded analogue of
-  /// ConcurrentCache::with_exclusive for persistence.
+  /// Consistent point-in-time copy of every image, sorted by id: all
+  /// shard locks are held (in increasing index order) for the duration,
+  /// so the result is a true snapshot even under concurrent submits.
   [[nodiscard]] std::vector<Image> snapshot_images() const;
 
   /// Visits a consistent snapshot of every cached image.
@@ -166,15 +227,30 @@ class ShardedCache {
   /// Shard an image with these contents homes to (band-signature hash).
   [[nodiscard]] std::size_t home_of(const spec::PackageSet& contents) const;
 
-  Cache::Outcome serve(const spec::Specification& spec, std::uint64_t now,
-                       util::Bytes requested);
-  Cache::Outcome apply_hit(std::size_t shard_index, std::uint64_t id,
-                           const spec::Specification& spec, std::uint64_t now,
-                           util::Bytes requested, bool& stale);
-  Cache::Outcome split_locked(std::unique_lock<std::mutex>& source_lock,
-                              std::size_t shard_index, Image& bloated,
-                              const spec::Specification& spec,
-                              std::uint64_t now);
+  /// An image found by a cross-shard scan, with the shard holding it.
+  struct Located {
+    std::uint64_t id = 0;
+    util::Bytes bytes = 0;
+    std::size_t shard = 0;
+  };
+
+  Outcome serve(const spec::Specification& spec, std::uint64_t now,
+                util::Bytes requested);
+  /// The superset image a request for `spec` would hit, taking one shard
+  /// lock at a time; touches no stamps, counters or memo.
+  [[nodiscard]] std::optional<Located> find_superset(const spec::Specification& spec);
+  /// The global eviction victim and its shard, skipping images stamped
+  /// `now` (the one just served); one shard lock at a time.
+  [[nodiscard]] std::optional<std::pair<EvictionKey, std::size_t>> find_victim(
+      std::uint64_t now);
+  /// Applies a hit decided by a scan or the memo; nullopt when a racing
+  /// writer evicted or shrank the image since (the caller re-decides).
+  std::optional<Outcome> apply_hit(std::size_t shard_index, std::uint64_t id,
+                                   const spec::Specification& spec,
+                                   std::uint64_t now, util::Bytes requested);
+  Outcome split_locked(std::unique_lock<std::mutex>& source_lock,
+                       std::size_t shard_index, Image& bloated,
+                       const spec::Specification& spec, std::uint64_t now);
   void rehome_locked(std::unique_lock<std::mutex>& source_lock,
                      std::size_t source_index, std::size_t target_index,
                      std::uint64_t id);
@@ -198,8 +274,25 @@ class ShardedCache {
   /// its image map and index agree again; never on the plain-hit path.
   void sweep_postings(Shard& shard);
 
+  /// Adds a fresh image to its home shard and the shared ledgers.
+  void admit(Image image);
+  /// Adds `image` to `shard`'s map and indexes; caller holds its lock.
+  void install_locked(Shard& shard, Image image);
+  /// Evicts the image at `it` (budget or idle) under its shard's held
+  /// lock — ledgers, indexes, counters, metrics, listener — and returns
+  /// the next iterator. Leaves the postings sweep to the caller.
+  std::unordered_map<std::uint64_t, Image>::iterator evict_locked(
+      Shard& shard, std::unordered_map<std::uint64_t, Image>::iterator it, bool idle);
+
   void enforce_budget(std::uint64_t now);
   void evict_idle(std::uint64_t now);
+
+  // Union ledger for the time series (no-op unless record_time_series):
+  // per-package image refcounts plus the running deduplicated byte
+  // total, counted up (`add`) or down at every contents mutation under
+  // ledger_mutex_ (a leaf lock, taken while a shard lock may be held).
+  void ledger_adjust(const util::DynamicBitset& bits, bool add);
+  void record_sample(RequestKind kind);
 
   const pkg::Repository* repo_;
   CacheConfig config_;
@@ -235,7 +328,14 @@ class ShardedCache {
     std::atomic<std::uint64_t> cross_shard_moves{0};
   };
   AtomicCounters counters_;
-  Cache::EvictionListener eviction_listener_;
+  EvictionListener eviction_listener_;
+
+  // Time-series state, guarded by ledger_mutex_; untouched unless
+  // config_.record_time_series.
+  mutable std::mutex ledger_mutex_;
+  std::vector<std::uint32_t> ledger_refs_;  ///< per-package image refcount
+  util::Bytes ledger_unique_ = 0;
+  TimeSeries series_;
 
   /// Metric handles resolved at set_observability; null ⇒ no-op.
   struct Hooks {
@@ -247,6 +347,8 @@ class ShardedCache {
     obs::Counter* evictions_split = nullptr;
     obs::Counter* splits = nullptr;
     obs::Counter* conflict_rejections = nullptr;
+    obs::Histogram* candidate_scan = nullptr;
+    obs::Histogram* request_bytes = nullptr;
     obs::Counter* lock_contentions = nullptr;
     obs::Counter* optimistic_retries = nullptr;
     obs::Counter* cross_shard_moves = nullptr;
@@ -268,5 +370,10 @@ class ShardedCache {
   };
   Hooks hooks_;
 };
+
+/// headbench/ (which is kept unedited) names the engine both
+/// core::ShardedCache and core::Cache::Outcome; this alias serves the
+/// second spelling.
+using Cache = ShardedCache;
 
 }  // namespace landlord::core

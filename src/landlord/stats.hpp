@@ -40,8 +40,9 @@ struct CacheCounters {
   /// equals written_bytes exactly when delta merges are off.
   util::Bytes full_rewrite_bytes = 0;
 
-  // ---- Concurrency observability (ShardedCache only; always 0 for the
-  // sequential Cache and for any sharded run with a single thread). ----
+  // ---- Concurrency observability. All 0 at one shard with a single
+  // submitting thread; contentions and retries stay 0 at any shard
+  // count while only one thread submits. ----
   std::uint64_t shard_lock_contentions = 0;  ///< shard-lock waits (try_lock missed)
   std::uint64_t optimistic_retries = 0;  ///< decisions invalidated by a racing writer
   std::uint64_t cross_shard_moves = 0;   ///< images re-homed after merge/split

@@ -1,7 +1,7 @@
 // The observability bundle every instrumented layer attaches to.
 //
 // One Observability instance spans a whole service (head node / sim
-// run): core::Cache, core::ShardedCache, core::Landlord and
+// run): core::ShardedCache, core::Landlord and
 // fault::FaultInjector each take a non-owning pointer via their
 // set_observability() and resolve their metric handles once; the sim
 // drivers (sim::run_simulation / run_parallel / run_crash_replay) accept

@@ -52,8 +52,12 @@ class RollingBuffer {
   /// large frames cost O(log) reallocations.
   void ensure_writable(std::size_t n) {
     if (writable() >= n) return;
+    // Copies are skipped when nothing is pending: storage_.data() may be
+    // null then, and memmove/memcpy must never see a null pointer.
     if (head_ >= readable()) {
-      std::memmove(storage_.data(), storage_.data() + head_, readable());
+      if (readable() > 0) {
+        std::memmove(storage_.data(), storage_.data() + head_, readable());
+      }
       tail_ -= head_;
       head_ = 0;
       if (writable() >= n) return;
@@ -63,7 +67,9 @@ class RollingBuffer {
     std::size_t next = storage_.empty() ? kInitialBytes : storage_.size();
     while (next < readable() + n) next *= 2;
     std::vector<char> grown(next);
-    std::memcpy(grown.data(), storage_.data() + head_, readable());
+    if (readable() > 0) {
+      std::memcpy(grown.data(), storage_.data() + head_, readable());
+    }
     tail_ = readable();
     head_ = 0;
     storage_ = std::move(grown);

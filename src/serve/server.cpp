@@ -37,9 +37,6 @@ Server::Server(core::Landlord& landlord, ServerConfig config)
       config_.pipeline_depth = static_cast<std::size_t>(v);
     }
   }
-  // A sequential decision layer (shards <= 1) is not safe under
-  // concurrent submit(); serialise it so any worker count is correct.
-  serialize_submits_ = landlord_->sharded() == nullptr;
 }
 
 Server::~Server() { stop(); }
@@ -410,13 +407,7 @@ void Server::process_submit(
       continue;
     }
     spec::Specification spec = to_specification(request, universe);
-    core::JobPlacement placement;
-    if (serialize_submits_) {
-      std::scoped_lock lock(sequential_submit_mutex_);
-      placement = landlord_->submit(spec);
-    } else {
-      placement = landlord_->submit(spec);
-    }
+    const core::JobPlacement placement = landlord_->submit(spec);
     switch (placement.kind) {
       case core::RequestKind::kHit:
         bump(tallies_.placements_hit, hooks_.placements_hit);
@@ -588,13 +579,7 @@ void Server::release_pipeline(Connection* connection, std::size_t specs) {
 }
 
 StatsReply Server::stats_snapshot() const {
-  // The sequential Cache's counters are plain fields; hold the submit
-  // mutex so the snapshot never races a worker mid-update. The sharded
-  // layer aggregates atomics and needs no lock.
-  std::unique_lock<std::mutex> lock;
-  if (serialize_submits_) {
-    lock = std::unique_lock<std::mutex>(sequential_submit_mutex_);
-  }
+  // The decision layer aggregates atomics; no lock needed.
   const core::CacheCounters counters = landlord_->counters();
   StatsReply stats;
   stats.requests = counters.requests;

@@ -36,11 +36,11 @@
 // answered, then says kDrained on each open connection. No in-flight
 // request is dropped; no connection is accepted after drain begins.
 //
-// With a sequential decision layer (CacheConfig::shards <= 1) submits
-// are serialised behind an internal mutex, so a single-worker server
-// processes a pipelined connection's requests in exact arrival order —
-// the loopback equivalence suite replays a trace through the server and
-// an in-process Landlord and requires bit-identical placements.
+// Workers call Landlord::submit concurrently; the decision layer is
+// thread-safe at any shard count. A single-worker server processes a
+// pipelined connection's requests in exact arrival order — the loopback
+// equivalence suite replays a trace through the server and an
+// in-process Landlord and requires bit-identical placements.
 #pragma once
 
 #include <atomic>
@@ -143,10 +143,9 @@ struct ServeCounters {
 
 class Server {
  public:
-  /// The landlord must outlive the server. Its decision layer must be
-  /// sharded (CacheConfig::shards > 1) for true multi-worker decision
-  /// concurrency; with a sequential layer the server still accepts
-  /// `workers` threads but serialises submit() behind a mutex.
+  /// The landlord must outlive the server. Submits from `workers` threads
+  /// proceed in parallel across the decision layer's shards
+  /// (CacheConfig::shards); with one shard they contend on its lock.
   Server(core::Landlord& landlord, ServerConfig config);
   ~Server();
 
@@ -277,11 +276,6 @@ class Server {
   std::atomic<int> listen_fd_{-1};
   std::thread acceptor_;
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Serialises Landlord::submit when the decision layer is sequential
-  /// (shards <= 1); unused (never locked) when it is sharded. mutable so
-  /// the const stats snapshot can exclude in-flight submits.
-  mutable std::mutex sequential_submit_mutex_;
-  bool serialize_submits_ = false;
 
   std::mutex connections_mutex_;
   std::vector<std::unique_ptr<Connection>> connections_;

@@ -38,11 +38,7 @@ bool write_checkpoint(std::string& disk, const core::Landlord& landlord,
                       const pkg::Repository& repo, core::SnapshotFormat format,
                       fault::FaultInjector& injector) {
   std::ostringstream out;
-  if (landlord.sharded() != nullptr) {
-    core::save_cache(out, *landlord.sharded(), repo, format);
-  } else {
-    core::save_cache(out, landlord.cache(), repo, format);
-  }
+  core::save_cache(out, landlord.cache(), repo, format);
   std::string text = std::move(out).str();
   if (injector.should_fail(fault::FaultOp::kSnapshotWrite)) {
     const auto tears = injector.injected(fault::FaultOp::kSnapshotWrite);
@@ -145,7 +141,7 @@ CrashReplayResult run_crash_replay(const pkg::Repository& repo,
         // Checkpoint too mangled to even parse a header: cold restart.
         // Everything the dead cache held is lost.
         std::ostringstream empty;
-        core::save_cache(empty, core::Cache(repo, config.cache), repo,
+        core::save_cache(empty, core::ShardedCache(repo, config.cache), repo,
                          config.crash.format);
         std::istringstream cold(empty.str());
         (void)landlord.restore(cold, nullptr);

@@ -1,5 +1,7 @@
 #include "sim/driver.hpp"
 
+#include "landlord/sharded.hpp"
+
 namespace landlord::sim {
 
 SimulationResult run_simulation(const pkg::Repository& repo,
@@ -12,7 +14,7 @@ SimulationResult run_simulation(const pkg::Repository& repo,
   const auto specs = generator.unique_specifications();
   const auto stream = generator.request_stream();
 
-  core::Cache cache(repo, config.cache);
+  core::ShardedCache cache(repo, config.cache);
   if (config.obs != nullptr) cache.set_observability(config.obs);
   for (std::uint32_t index : stream) {
     cache.request(specs[index]);

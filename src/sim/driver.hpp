@@ -4,6 +4,8 @@
 #include <cstdint>
 
 #include "landlord/cache.hpp"
+#include "landlord/stats.hpp"
+#include "obs/obs.hpp"
 #include "pkg/repository.hpp"
 #include "sim/workload.hpp"
 

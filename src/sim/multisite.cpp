@@ -2,6 +2,8 @@
 
 #include <memory>
 
+#include "landlord/sharded.hpp"
+
 namespace landlord::sim {
 
 namespace {
@@ -63,10 +65,10 @@ MultiSiteResult run_multisite(const pkg::Repository& repo,
                               const std::vector<spec::Specification>& specs,
                               const std::vector<std::uint32_t>& stream,
                               std::uint64_t seed) {
-  std::vector<std::unique_ptr<core::Cache>> sites;
+  std::vector<std::unique_ptr<core::ShardedCache>> sites;
   sites.reserve(config.sites);
   for (std::uint32_t s = 0; s < config.sites; ++s) {
-    sites.push_back(std::make_unique<core::Cache>(repo, config.cache));
+    sites.push_back(std::make_unique<core::ShardedCache>(repo, config.cache));
   }
 
   const bool faulty = !config.faults.empty();

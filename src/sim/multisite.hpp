@@ -33,6 +33,7 @@
 
 #include "fault/fault.hpp"
 #include "landlord/cache.hpp"
+#include "landlord/stats.hpp"
 #include "obs/obs.hpp"
 #include "spec/specification.hpp"
 #include "util/rng.hpp"

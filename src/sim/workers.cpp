@@ -285,8 +285,7 @@ util::Bytes WorkerPool::dispatch(const core::Image& image) {
 
 namespace {
 
-template <typename CacheT>
-TransferResult replay(const pkg::Repository& repo, CacheT& cache,
+TransferResult replay(const pkg::Repository& repo, core::ShardedCache& cache,
                       WorkerPool& pool,
                       const std::vector<spec::Specification>& specs,
                       const std::vector<std::uint32_t>& stream) {
@@ -318,7 +317,7 @@ TransferResult run_with_workers(const pkg::Repository& repo,
                                 const std::vector<spec::Specification>& specs,
                                 const std::vector<std::uint32_t>& stream,
                                 std::uint64_t seed) {
-  core::Cache cache(repo, cache_config);
+  core::ShardedCache cache(repo, cache_config);
   WorkerPool pool(pool_config, util::Rng(seed));
   return replay(repo, cache, pool, specs, stream);
 }
@@ -339,16 +338,11 @@ TransferResult run_with_workers(const pkg::Repository& repo,
     injector.set_observability(obs);
     pool.set_observability(obs);
   }
-  if (cache_config.shards > 1) {
-    core::ShardedCache cache(repo, cache_config);
-    if (obs != nullptr) cache.set_observability(obs);
-    auto result = replay(repo, cache, pool, specs, stream);
-    if (obs != nullptr) cache.publish_metrics();
-    return result;
-  }
-  core::Cache cache(repo, cache_config);
+  core::ShardedCache cache(repo, cache_config);
   if (obs != nullptr) cache.set_observability(obs);
-  return replay(repo, cache, pool, specs, stream);
+  auto result = replay(repo, cache, pool, specs, stream);
+  if (obs != nullptr) cache.publish_metrics();
+  return result;
 }
 
 }  // namespace landlord::sim

@@ -34,7 +34,11 @@
 
 #include "fault/fault.hpp"
 #include "landlord/cache.hpp"
+#include "landlord/image.hpp"
+#include "landlord/stats.hpp"
 #include "obs/obs.hpp"
+#include "pkg/repository.hpp"
+#include "spec/specification.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -220,10 +224,10 @@ struct TransferResult {
     const std::vector<std::uint32_t>& stream, std::uint64_t seed);
 
 /// Fault-wired variant: replays the same stream with worker churn and
-/// transfer cuts from `faults`. cache_config.shards > 1 replays through
-/// a core::ShardedCache (single-threaded, bit-identical to the
-/// sequential Cache — the dispatch-counter equivalence test relies on
-/// this). An empty plan makes this bit-identical to the overload above.
+/// transfer cuts from `faults`. The replay is single-threaded, so every
+/// cache_config.shards makes the same decisions (the dispatch-counter
+/// equivalence test relies on this). An empty plan makes this
+/// bit-identical to the overload above.
 [[nodiscard]] TransferResult run_with_workers(
     const pkg::Repository& repo, const core::CacheConfig& cache_config,
     const WorkerPoolConfig& pool_config,

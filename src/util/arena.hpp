@@ -20,8 +20,8 @@
 //   * Individual deallocation is a no-op (ArenaAllocator::deallocate
 //     discards); peak usage per request is bounded by the decision
 //     path, not accumulated.
-//   * Not thread-safe: one arena per cache (sequential Cache) or per
-//     thread (ShardedCache uses a thread_local).
+//   * Not thread-safe: one arena per thread (ShardedCache uses a
+//     thread_local).
 //
 // ArenaAllocator<T> adapts the arena to the std allocator interface so
 // std::vector and friends can live on it.

@@ -150,6 +150,30 @@ TEST(RunBatch, DeterministicRerun) {
   EXPECT_EQ(a.cache_counters.hits, b.cache_counters.hits);
 }
 
+// The reported counters are the decision layer's whatever its shard
+// count: one replay thread decides identically at any shard count, so a
+// sharded run must report the same numbers, not zeros.
+TEST(RunBatch, ShardedCountersMatchSingleShard) {
+  const auto specs = sample_specs(12);
+  const auto jobs = poisson_schedule(specs.size(), 3, 360.0, 150.0, util::Rng(17));
+  BatchConfig single = batch_config(4, 0.6);
+  single.cache.capacity = repo().total_bytes() / 4;
+  BatchConfig sharded = single;
+  sharded.cache.shards = 4;
+  const auto a = run_batch(repo(), specs, jobs, single);
+  const auto b = run_batch(repo(), specs, jobs, sharded);
+  ASSERT_EQ(a.cache_counters.requests, jobs.size());
+  EXPECT_EQ(b.cache_counters.requests, a.cache_counters.requests);
+  EXPECT_EQ(b.cache_counters.hits, a.cache_counters.hits);
+  EXPECT_EQ(b.cache_counters.merges, a.cache_counters.merges);
+  EXPECT_EQ(b.cache_counters.inserts, a.cache_counters.inserts);
+  EXPECT_EQ(b.cache_counters.deletes, a.cache_counters.deletes);
+  EXPECT_EQ(b.cache_counters.requested_bytes, a.cache_counters.requested_bytes);
+  EXPECT_EQ(b.cache_counters.written_bytes, a.cache_counters.written_bytes);
+  EXPECT_DOUBLE_EQ(b.cache_counters.container_efficiency_sum,
+                   a.cache_counters.container_efficiency_sum);
+}
+
 TEST(RunBatch, EmptyJobListIsEmptyResult) {
   const auto specs = sample_specs(1);
   const auto result = run_batch(repo(), specs, {}, batch_config(4));

@@ -171,7 +171,7 @@ TEST(SnapshotFiles, TornWriteRecoversPrefixOnRead) {
 
   core::CacheConfig config;
   config.capacity = repo().total_bytes();
-  core::Cache cache(repo(), config);
+  core::ShardedCache cache(repo(), config);
   // A handful of images so the torn file retains a non-trivial prefix.
   for (std::uint32_t base = 100; base < 160; base += 4) {
     std::vector<pkg::PackageId> request{pkg::package_id(base),
@@ -196,14 +196,14 @@ TEST(SnapshotFiles, TornWriteRecoversPrefixOnRead) {
   // records_lost counts image records the torn file still declares; the
   // tear may additionally swallow records whole, so <= not ==.
   EXPECT_LE(report.images_restored + report.records_lost, cache.image_count());
-  EXPECT_EQ(restored.value().image_count(), report.images_restored);
+  EXPECT_EQ(restored.value()->image_count(), report.images_restored);
 }
 
 TEST(SnapshotFiles, InjectedReadFaultSurfacesPreciseError) {
   const auto path = testing::TempDir() + "landlord_read_fault.txt";
   core::CacheConfig config;
   config.capacity = repo().total_bytes();
-  core::Cache cache(repo(), config);
+  core::ShardedCache cache(repo(), config);
   ASSERT_TRUE(core::save_cache_file(path, cache, repo()));
 
   fault::FaultPlan plan;

@@ -94,7 +94,7 @@ TEST(EndToEnd, ManifestRoundTripPreservesSimulationBehaviour) {
     core::CacheConfig config;
     config.alpha = 0.75;
     config.capacity = r.total_bytes() / 2;
-    core::Cache cache(r, config);
+    core::ShardedCache cache(r, config);
     for (std::uint32_t i = 0; i < 50; ++i) {
       std::vector<pkg::PackageId> request = {
           pkg::package_id((i * 13) % static_cast<std::uint32_t>(r.size())),

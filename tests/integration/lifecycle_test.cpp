@@ -41,7 +41,7 @@ TEST(Lifecycle, DayOneDayTwoWithRestartAndDrift) {
   // Day one: process the workload, capture the trace, snapshot the cache.
   sim::Trace trace;
   trace.specs = specs;
-  core::Cache day_one(repo(), config);
+  core::ShardedCache day_one(repo(), config);
   for (std::uint32_t i = 0; i < specs.size(); ++i) {
     (void)day_one.request(specs[i]);
     trace.stream.push_back(i);
@@ -58,18 +58,18 @@ TEST(Lifecycle, DayOneDayTwoWithRestartAndDrift) {
   auto reloaded_trace = sim::read_trace(trace_file, repo());
   ASSERT_TRUE(reloaded_trace.ok()) << reloaded_trace.error().message;
   for (auto index : reloaded_trace.value().stream) {
-    EXPECT_EQ(restored.value().request(reloaded_trace.value().specs[index]).kind,
+    EXPECT_EQ(restored.value()->request(reloaded_trace.value().specs[index]).kind,
               core::RequestKind::kHit);
   }
 
   // Day two: a release cycle drifts the specs; the restored cache
   // absorbs the upgraded variants mostly by merging, not rebuilding.
-  const auto before = restored.value().counters();
+  const auto before = restored.value()->counters();
   for (auto& spec : specs) {
     spec = generator.evolved_specification(spec, 0.15);
-    (void)restored.value().request(spec);
+    (void)restored.value()->request(spec);
   }
-  const auto after = restored.value().counters();
+  const auto after = restored.value()->counters();
   const auto new_inserts = after.inserts - before.inserts;
   const auto new_merges = after.merges - before.merges;
   const auto new_hits = after.hits - before.hits;
@@ -96,7 +96,7 @@ TEST(Lifecycle, ManifestTraceSnapshotAllPortable) {
   sim::WorkloadGenerator generator(repo(), workload, util::Rng(9));
   const auto specs = generator.unique_specifications();
 
-  core::Cache original(repo(), config);
+  core::ShardedCache original(repo(), config);
   for (const auto& spec : specs) (void)original.request(spec);
   std::stringstream snapshot;
   core::save_cache(snapshot, original, repo());
@@ -105,8 +105,8 @@ TEST(Lifecycle, ManifestTraceSnapshotAllPortable) {
   // keys must carry the state across.
   auto restored = core::restore_cache(snapshot, repo2.value(), config);
   ASSERT_TRUE(restored.ok()) << restored.error().message;
-  EXPECT_EQ(restored.value().image_count(), original.image_count());
-  EXPECT_EQ(restored.value().total_bytes(), original.total_bytes());
+  EXPECT_EQ(restored.value()->image_count(), original.image_count());
+  EXPECT_EQ(restored.value()->total_bytes(), original.total_bytes());
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include <tuple>
 
-#include "landlord/cache.hpp"
 #include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
 #include "sim/workload.hpp"
@@ -34,7 +33,7 @@ TEST_P(CacheInvariantTest, InvariantsHoldThroughoutStream) {
   CacheConfig config;
   config.alpha = alpha;
   config.capacity = repo.total_bytes() / 4;
-  Cache cache(repo, config);
+  ShardedCache cache(repo, config);
 
   sim::WorkloadConfig workload;
   workload.unique_jobs = 60;
@@ -96,7 +95,7 @@ TEST(CacheProperty, AlphaZeroImageCountEqualsDistinctSpecsUntilEviction) {
   CacheConfig config;
   config.alpha = 0.0;
   config.capacity = repo.total_bytes() * 10;  // no eviction
-  Cache cache(repo, config);
+  ShardedCache cache(repo, config);
 
   sim::WorkloadConfig workload;
   workload.unique_jobs = 40;
@@ -126,7 +125,7 @@ TEST(CacheProperty, MonotoneAlphaReducesInsertsOnSameStream) {
     CacheConfig config;
     config.alpha = alpha;
     config.capacity = repo.total_bytes() / 4;
-    Cache cache(repo, config);
+    ShardedCache cache(repo, config);
     sim::WorkloadGenerator generator(repo, workload, util::Rng(11));
     const auto specs = generator.unique_specifications();
     const auto stream = generator.request_stream();
@@ -145,7 +144,7 @@ TEST(CacheProperty, AlphaOneConvergesToSingleImage) {
   CacheConfig config;
   config.alpha = 1.0;
   config.capacity = repo.total_bytes() * 10;
-  Cache cache(repo, config);
+  ShardedCache cache(repo, config);
   sim::WorkloadConfig workload;
   workload.unique_jobs = 30;
   workload.repetitions = 1;
@@ -184,7 +183,7 @@ TEST(CacheProperty, EfficiencyBoundsHoldUnderRandomConfigs) {
     const auto specs = generator.unique_specifications();
     const auto stream = generator.request_stream();
 
-    Cache sequential(repo, config);
+    ShardedCache sequential(repo, config);
     ShardedCache sharded(repo, config);
     for (std::uint32_t index : stream) {
       (void)sequential.request(specs[index]);
@@ -221,7 +220,7 @@ TEST(CacheProperty, PoliciesAgreeOnHitOutcomes) {
     config.alpha = 0.0;
     config.policy = policy;
     config.capacity = repo.total_bytes() / 3;
-    Cache cache(repo, config);
+    ShardedCache cache(repo, config);
     sim::WorkloadGenerator generator(repo, workload, util::Rng(17));
     const auto specs = generator.unique_specifications();
     for (auto index : generator.request_stream()) (void)cache.request(specs[index]);

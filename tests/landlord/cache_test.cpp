@@ -1,4 +1,4 @@
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,7 @@ CacheConfig config(double alpha, util::Bytes capacity = 1'000'000) {
 
 TEST(Cache, FirstRequestInserts) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.5));
+  ShardedCache cache(repo, config(0.5));
   const auto outcome = cache.request(make_spec(repo, {1, 2, 3}));
   EXPECT_EQ(outcome.kind, RequestKind::kInsert);
   EXPECT_EQ(cache.image_count(), 1u);
@@ -49,7 +49,7 @@ TEST(Cache, FirstRequestInserts) {
 
 TEST(Cache, IdenticalRequestHits) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0));  // alpha 0: no merging ever
+  ShardedCache cache(repo, config(0.0));  // alpha 0: no merging ever
   (void)cache.request(make_spec(repo, {1, 2, 3}));
   const auto outcome = cache.request(make_spec(repo, {1, 2, 3}));
   EXPECT_EQ(outcome.kind, RequestKind::kHit);
@@ -59,7 +59,7 @@ TEST(Cache, IdenticalRequestHits) {
 
 TEST(Cache, SubsetRequestHitsExistingImage) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0));
+  ShardedCache cache(repo, config(0.0));
   (void)cache.request(make_spec(repo, {1, 2, 3, 4}));
   const auto outcome = cache.request(make_spec(repo, {2, 3}));
   EXPECT_EQ(outcome.kind, RequestKind::kHit);
@@ -68,7 +68,7 @@ TEST(Cache, SubsetRequestHitsExistingImage) {
 
 TEST(Cache, SupersetRequestDoesNotHit) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0));
+  ShardedCache cache(repo, config(0.0));
   (void)cache.request(make_spec(repo, {1, 2}));
   const auto outcome = cache.request(make_spec(repo, {1, 2, 3}));
   EXPECT_NE(outcome.kind, RequestKind::kHit);
@@ -76,7 +76,7 @@ TEST(Cache, SupersetRequestDoesNotHit) {
 
 TEST(Cache, HitPrefersSmallestSatisfyingImage) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0));
+  ShardedCache cache(repo, config(0.0));
   (void)cache.request(make_spec(repo, {1, 2, 3, 4, 5, 6}));  // 60 bytes
   (void)cache.request(make_spec(repo, {1, 2, 3}));           // hits big image
   // Insert a smaller superset of {1,2}: the set {1,2,9} is not a superset
@@ -89,7 +89,7 @@ TEST(Cache, HitPrefersSmallestSatisfyingImage) {
 
 TEST(Cache, AlphaZeroNeverMerges) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0));
+  ShardedCache cache(repo, config(0.0));
   (void)cache.request(make_spec(repo, {1, 2, 3}));
   const auto outcome = cache.request(make_spec(repo, {1, 2, 4}));
   EXPECT_EQ(outcome.kind, RequestKind::kInsert);
@@ -99,7 +99,7 @@ TEST(Cache, AlphaZeroNeverMerges) {
 
 TEST(Cache, CloseSpecsMergeUnderHighAlpha) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.9));
+  ShardedCache cache(repo, config(0.9));
   (void)cache.request(make_spec(repo, {1, 2, 3}));
   // d({1,2,3},{1,2,4}) = 1 - 2/4 = 0.5 < 0.9 -> merge.
   const auto outcome = cache.request(make_spec(repo, {1, 2, 4}));
@@ -112,7 +112,7 @@ TEST(Cache, CloseSpecsMergeUnderHighAlpha) {
 TEST(Cache, DistanceAtAlphaDoesNotMerge) {
   const auto repo = flat_repo(100);
   // d({1,2},{1,3}) = 1 - 1/3 = 0.6667. alpha exactly there: strict <.
-  Cache cache(repo, config(2.0 / 3.0));
+  ShardedCache cache(repo, config(2.0 / 3.0));
   (void)cache.request(make_spec(repo, {1, 2}));
   const auto outcome = cache.request(make_spec(repo, {1, 3}));
   EXPECT_EQ(outcome.kind, RequestKind::kInsert);
@@ -120,7 +120,7 @@ TEST(Cache, DistanceAtAlphaDoesNotMerge) {
 
 TEST(Cache, MergedImageServesBothSpecs) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.9));
+  ShardedCache cache(repo, config(0.9));
   (void)cache.request(make_spec(repo, {1, 2, 3}));
   (void)cache.request(make_spec(repo, {1, 2, 4}));
   // Both originals now hit the merged image.
@@ -130,7 +130,7 @@ TEST(Cache, MergedImageServesBothSpecs) {
 
 TEST(Cache, BestFitMergesIntoClosestImage) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.95));
+  ShardedCache cache(repo, config(0.95));
   (void)cache.request(make_spec(repo, {1, 2, 3, 4}));      // A
   (void)cache.request(make_spec(repo, {50, 51, 52, 53}));  // B (disjoint from A)
   // Closest to A (d = 1 - 3/5 = 0.4); to B d = 1.0 but 1.0 < 0.95 false.
@@ -142,7 +142,7 @@ TEST(Cache, BestFitMergesIntoClosestImage) {
 
 TEST(Cache, AlphaOneMergesEverythingMergeable) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(1.0));
+  ShardedCache cache(repo, config(1.0));
   (void)cache.request(make_spec(repo, {1}));
   (void)cache.request(make_spec(repo, {50}));
   (void)cache.request(make_spec(repo, {99}));
@@ -152,7 +152,7 @@ TEST(Cache, AlphaOneMergesEverythingMergeable) {
 
 TEST(Cache, LruEvictionWhenOverCapacity) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0, 50));  // capacity 5 packages
+  ShardedCache cache(repo, config(0.0, 50));  // capacity 5 packages
   (void)cache.request(make_spec(repo, {1, 2, 3}));    // 30 bytes
   (void)cache.request(make_spec(repo, {10, 11, 12})); // 30 bytes -> evict first
   EXPECT_EQ(cache.counters().deletes, 1u);
@@ -163,7 +163,7 @@ TEST(Cache, LruEvictionWhenOverCapacity) {
 
 TEST(Cache, LruEvictsLeastRecentlyUsed) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0, 70));
+  ShardedCache cache(repo, config(0.0, 70));
   (void)cache.request(make_spec(repo, {1, 2, 3}));     // A
   (void)cache.request(make_spec(repo, {10, 11, 12}));  // B
   (void)cache.request(make_spec(repo, {1, 2, 3}));     // touch A
@@ -177,7 +177,7 @@ TEST(Cache, SingleOversizedImageIsKept) {
   // An image bigger than capacity must not evict itself (alpha = 1
   // all-purpose image semantics).
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(1.0, 25));
+  ShardedCache cache(repo, config(1.0, 25));
   (void)cache.request(make_spec(repo, {1, 2, 3}));  // 30 > 25
   EXPECT_EQ(cache.image_count(), 1u);
   EXPECT_EQ(cache.counters().deletes, 0u);
@@ -185,7 +185,7 @@ TEST(Cache, SingleOversizedImageIsKept) {
 
 TEST(Cache, WrittenBytesChargedOnInsertAndMergeNotHit) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.9));
+  ShardedCache cache(repo, config(0.9));
   (void)cache.request(make_spec(repo, {1, 2, 3}));  // +30
   EXPECT_EQ(cache.counters().written_bytes, util::Bytes{30});
   (void)cache.request(make_spec(repo, {1, 2, 3}));  // hit: +0
@@ -196,7 +196,7 @@ TEST(Cache, WrittenBytesChargedOnInsertAndMergeNotHit) {
 
 TEST(Cache, RequestedBytesAccumulatePerRequest) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0));
+  ShardedCache cache(repo, config(0.0));
   (void)cache.request(make_spec(repo, {1, 2}));
   (void)cache.request(make_spec(repo, {1, 2}));
   EXPECT_EQ(cache.counters().requested_bytes, util::Bytes{40});
@@ -204,7 +204,7 @@ TEST(Cache, RequestedBytesAccumulatePerRequest) {
 
 TEST(Cache, ContainerEfficiencyPerfectWithoutMerging) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0));
+  ShardedCache cache(repo, config(0.0));
   (void)cache.request(make_spec(repo, {1, 2}));
   (void)cache.request(make_spec(repo, {3, 4, 5}));
   EXPECT_DOUBLE_EQ(cache.counters().container_efficiency(), 1.0);
@@ -212,7 +212,7 @@ TEST(Cache, ContainerEfficiencyPerfectWithoutMerging) {
 
 TEST(Cache, ContainerEfficiencyDegradesWithMerging) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.9));
+  ShardedCache cache(repo, config(0.9));
   (void)cache.request(make_spec(repo, {1, 2, 3}));  // exact: 1.0
   (void)cache.request(make_spec(repo, {1, 2, 4}));  // merged into 4 pkgs: 0.75
   EXPECT_NEAR(cache.counters().container_efficiency(), (1.0 + 0.75) / 2, 1e-12);
@@ -220,7 +220,7 @@ TEST(Cache, ContainerEfficiencyDegradesWithMerging) {
 
 TEST(Cache, UniqueVsTotalBytes) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0));
+  ShardedCache cache(repo, config(0.0));
   (void)cache.request(make_spec(repo, {1, 2, 3}));
   (void)cache.request(make_spec(repo, {2, 3, 4}));
   EXPECT_EQ(cache.total_bytes(), util::Bytes{60});
@@ -230,14 +230,14 @@ TEST(Cache, UniqueVsTotalBytes) {
 
 TEST(Cache, EmptyCacheEfficiencyIsOne) {
   const auto repo = flat_repo(10);
-  Cache cache(repo, config(0.5));
+  ShardedCache cache(repo, config(0.5));
   EXPECT_DOUBLE_EQ(cache.cache_efficiency(), 1.0);
   EXPECT_EQ(cache.unique_bytes(), util::Bytes{0});
 }
 
 TEST(Cache, ConflictingConstraintsBlockMergeAndInsert) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.9));
+  ShardedCache cache(repo, config(0.9));
   auto a = make_spec(repo, {1, 2, 3});
   a.add_constraint({"python", spec::ConstraintOp::kEq, "3.8"});
   auto b = make_spec(repo, {1, 2, 4});
@@ -251,7 +251,7 @@ TEST(Cache, ConflictingConstraintsBlockMergeAndInsert) {
 
 TEST(Cache, CompatibleConstraintsStillMerge) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.9));
+  ShardedCache cache(repo, config(0.9));
   auto a = make_spec(repo, {1, 2, 3});
   a.add_constraint({"python", spec::ConstraintOp::kGe, "3.0"});
   auto b = make_spec(repo, {1, 2, 4});
@@ -262,7 +262,7 @@ TEST(Cache, CompatibleConstraintsStillMerge) {
 
 TEST(Cache, MergedImageAccumulatesConstraints) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.9));
+  ShardedCache cache(repo, config(0.9));
   auto a = make_spec(repo, {1, 2, 3});
   a.add_constraint({"gcc", spec::ConstraintOp::kGe, "9"});
   auto b = make_spec(repo, {1, 2, 4});
@@ -279,10 +279,11 @@ TEST(Cache, TimeSeriesRecordsWhenEnabled) {
   const auto repo = flat_repo(100);
   auto cfg = config(0.9);
   cfg.record_time_series = true;
-  Cache cache(repo, cfg);
+  ShardedCache cache(repo, cfg);
   (void)cache.request(make_spec(repo, {1, 2}));
   (void)cache.request(make_spec(repo, {1, 2}));
-  const auto& samples = cache.time_series().samples();
+  const auto series = cache.time_series();
+  const auto& samples = series.samples();
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_EQ(samples[0].kind, RequestKind::kInsert);
   EXPECT_EQ(samples[1].kind, RequestKind::kHit);
@@ -293,14 +294,14 @@ TEST(Cache, TimeSeriesRecordsWhenEnabled) {
 
 TEST(Cache, TimeSeriesEmptyWhenDisabled) {
   const auto repo = flat_repo(10);
-  Cache cache(repo, config(0.5));
+  ShardedCache cache(repo, config(0.5));
   (void)cache.request(make_spec(repo, {1}));
   EXPECT_TRUE(cache.time_series().empty());
 }
 
 TEST(Cache, FindReturnsImageAndNulloptForEvicted) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0, 30));
+  ShardedCache cache(repo, config(0.0, 30));
   const auto first = cache.request(make_spec(repo, {1, 2, 3}));
   ASSERT_TRUE(cache.find(first.image).has_value());
   EXPECT_EQ(cache.find(first.image)->bytes, util::Bytes{30});
@@ -310,7 +311,7 @@ TEST(Cache, FindReturnsImageAndNulloptForEvicted) {
 
 TEST(Cache, MergeKeepsImageIdStable) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.9));
+  ShardedCache cache(repo, config(0.9));
   const auto first = cache.request(make_spec(repo, {1, 2, 3}));
   const auto merged = cache.request(make_spec(repo, {1, 2, 4}));
   EXPECT_EQ(merged.image, first.image);
@@ -322,7 +323,7 @@ TEST(Cache, MinHashPolicyAgreesWithExactOnClearCases) {
   auto cfg = config(0.9);
   cfg.policy = MergePolicy::kMinHashLsh;
   cfg.lsh_bands = 32;
-  Cache cache(repo, cfg);
+  ShardedCache cache(repo, cfg);
   // Nearly identical specs (63/64 overlap): LSH must surface the
   // candidate and merge.
   spec::PackageSet a(repo.size()), b(repo.size());
@@ -336,14 +337,14 @@ TEST(Cache, FirstFitPolicyStillMerges) {
   const auto repo = flat_repo(100);
   auto cfg = config(0.9);
   cfg.policy = MergePolicy::kFirstFit;
-  Cache cache(repo, cfg);
+  ShardedCache cache(repo, cfg);
   (void)cache.request(make_spec(repo, {1, 2, 3}));
   EXPECT_EQ(cache.request(make_spec(repo, {1, 2, 4})).kind, RequestKind::kMerge);
 }
 
 TEST(Cache, ForEachImageVisitsAll) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.0));
+  ShardedCache cache(repo, config(0.0));
   (void)cache.request(make_spec(repo, {1}));
   (void)cache.request(make_spec(repo, {2}));
   std::size_t count = 0;
@@ -358,7 +359,7 @@ TEST(Cache, ForEachImageVisitsAll) {
 
 TEST(Cache, EmptySpecHitsAnyExistingImage) {
   const auto repo = flat_repo(10);
-  Cache cache(repo, config(0.5));
+  ShardedCache cache(repo, config(0.5));
   (void)cache.request(make_spec(repo, {1}));
   EXPECT_EQ(cache.request(make_spec(repo, {})).kind, RequestKind::kHit);
 }
@@ -369,7 +370,7 @@ TEST(Cache, MergedImageConstraintsStayBoundedUnderRepeatedMerges) {
   // {python == 3.8} accumulated N copies — linear bloat that slowed
   // every later compatibility check. Dedup keeps it at the distinct set.
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(0.95));
+  ShardedCache cache(repo, config(0.95));
 
   const spec::VersionConstraint python{"python", spec::ConstraintOp::kEq, "3.8"};
   const spec::VersionConstraint gcc{"gcc", spec::ConstraintOp::kGe, "12"};
@@ -410,7 +411,7 @@ TEST(Cache, IncrementalUniqueBytesLedgerMatchesRecomputeOracle) {
   cfg.record_time_series = true;
   cfg.enable_split = true;
   cfg.split_utilization = 0.4;
-  Cache cache(repo, cfg);
+  ShardedCache cache(repo, cfg);
 
   const auto oracle = [&] {
     util::DynamicBitset all(repo.size());

@@ -17,7 +17,6 @@
 #include <tuple>
 #include <vector>
 
-#include "landlord/cache.hpp"
 #include "landlord/index.hpp"
 #include "landlord/persist.hpp"
 #include "landlord/sharded.hpp"
@@ -52,7 +51,7 @@ Replay make_replay(std::uint64_t seed) {
   return {generator.unique_specifications(), generator.request_stream()};
 }
 
-std::vector<Image> sorted_images(const Cache& cache) {
+std::vector<Image> sorted_images(const ShardedCache& cache) {
   std::vector<Image> images;
   cache.for_each_image([&](const Image& image) { images.push_back(image); });
   std::sort(images.begin(), images.end(), [](const Image& a, const Image& b) {
@@ -61,7 +60,7 @@ std::vector<Image> sorted_images(const Cache& cache) {
   return images;
 }
 
-void expect_equal_states(const Cache& scan, const Cache& indexed) {
+void expect_equal_states(const ShardedCache& scan, const ShardedCache& indexed) {
   const auto& a = scan.counters();
   const auto& b = indexed.counters();
   EXPECT_EQ(a.requests, b.requests);
@@ -100,13 +99,13 @@ void run_index_oracle(CacheConfig config, std::uint64_t seed,
   const auto replay = make_replay(seed);
 
   config.decision_index = false;
-  Cache scan(repo, config);
+  ShardedCache scan(repo, config);
   config.decision_index = true;
   // Force the postings probe even at small N — this oracle exists to
   // prove the *index* path matches the scan; the adaptive cutover is
   // covered by AdaptiveCutoverMatchesScanAtSmallN.
   config.scan_cutover = 0;
-  Cache indexed(repo, config);
+  ShardedCache indexed(repo, config);
 
   for (std::uint32_t index : replay.stream) {
     const auto expected = scan.request(replay.specs[index]);
@@ -188,9 +187,9 @@ TEST(DecisionIndexOracle, SplitHeavyWorkloadStaysReconciled) {
   config.split_utilization = 0.5;  // aggressive: plenty of splits
   config.capacity = repo.total_bytes() / 3;
   config.decision_index = false;
-  Cache scan(repo, config);
+  ShardedCache scan(repo, config);
   config.decision_index = true;
-  Cache indexed(repo, config);
+  ShardedCache indexed(repo, config);
 
   for (std::uint32_t index : replay.stream) {
     const auto expected = scan.request(replay.specs[index]);
@@ -262,7 +261,7 @@ TEST(SpecMemo, RepeatedSpecShortCircuitsThroughMemo) {
   CacheConfig config;
   config.alpha = 0.0;  // no merging: decisions are pure hit/insert
   config.capacity = repo.total_bytes();
-  Cache cache(repo, config);
+  ShardedCache cache(repo, config);
 
   spec::PackageSet set(repo.size());
   for (const std::uint32_t p : {5u, 6u, 7u}) set.insert(pkg::PackageId{p});
@@ -292,9 +291,9 @@ TEST(SpecMemo, EpochInvalidationTracksSmallerSuperset) {
   config.alpha = 0.0;
   config.capacity = repo.total_bytes();
   config.decision_index = false;
-  Cache scan(repo, config);
+  ShardedCache scan(repo, config);
   config.decision_index = true;
-  Cache indexed(repo, config);
+  ShardedCache indexed(repo, config);
 
   auto spec_of = [&](std::initializer_list<std::uint32_t> pkgs) {
     spec::PackageSet set(repo.size());
@@ -335,7 +334,7 @@ TEST(DecisionIndexOracle, RestoredCacheReconcilesAndMatchesScan) {
   config.alpha = 0.7;
   config.capacity = repo.total_bytes() / 4;
   config.decision_index = true;
-  Cache original(repo, config);
+  ShardedCache original(repo, config);
   for (std::uint32_t index : replay.stream) {
     (void)original.request(replay.specs[index]);
   }
@@ -346,20 +345,20 @@ TEST(DecisionIndexOracle, RestoredCacheReconcilesAndMatchesScan) {
 
   auto indexed = restore_cache(in_indexed, repo, config);
   ASSERT_TRUE(indexed.ok());
-  EXPECT_EQ(indexed.value().check_decision_index(), std::nullopt);
+  EXPECT_EQ(indexed.value()->check_decision_index(), std::nullopt);
 
   config.decision_index = false;
   auto scan = restore_cache(in_scan, repo, config);
   ASSERT_TRUE(scan.ok());
 
   for (std::uint32_t index : replay.stream) {
-    const auto expected = scan.value().request(replay.specs[index]);
-    const auto actual = indexed.value().request(replay.specs[index]);
+    const auto expected = scan.value()->request(replay.specs[index]);
+    const auto actual = indexed.value()->request(replay.specs[index]);
     ASSERT_EQ(to_value(expected.image), to_value(actual.image));
     ASSERT_EQ(static_cast<int>(expected.kind), static_cast<int>(actual.kind));
   }
-  expect_equal_states(scan.value(), indexed.value());
-  EXPECT_EQ(indexed.value().check_decision_index(), std::nullopt);
+  expect_equal_states(*scan.value(), *indexed.value());
+  EXPECT_EQ(indexed.value()->check_decision_index(), std::nullopt);
 }
 
 // The default config is adaptive: below CacheConfig::scan_cutover the
@@ -376,10 +375,10 @@ TEST(DecisionIndexOracle, AdaptiveCutoverMatchesScanAtSmallN) {
   config.alpha = 0.7;
   config.capacity = repo.total_bytes() / 4;
   config.decision_index = false;
-  Cache scan(repo, config);
+  ShardedCache scan(repo, config);
   config.decision_index = true;
   ASSERT_GT(config.scan_cutover, 0u) << "default config must be adaptive";
-  Cache indexed(repo, config);
+  ShardedCache indexed(repo, config);
 
   bool stayed_small = true;
   for (std::uint32_t index : replay.stream) {
@@ -409,7 +408,7 @@ TEST(SpecMemo, ShardedMemoMatchesSequentialScan) {
   config.alpha = 0.6;
   config.capacity = repo.total_bytes() / 4;
   config.decision_index = false;
-  Cache scan(repo, config);
+  ShardedCache scan(repo, config);
   config.decision_index = true;
   config.shards = 4;
   ShardedCache sharded(repo, config);
@@ -472,7 +471,7 @@ TEST(PostingsGrowth, CacheStaysBoundedBelowCutover) {
   const auto specs = churn_specs(4000, 0x5EED);
   for (const double alpha : {0.0, 0.8}) {
     const CacheConfig config = churn_config(alpha, 1);
-    Cache cache(shared_repo(), config);
+    ShardedCache cache(shared_repo(), config);
     for (const auto& spec : specs) {
       (void)cache.request(spec);
       ASSERT_LT(cache.image_count(), config.scan_cutover);

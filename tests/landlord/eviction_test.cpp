@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 
 namespace landlord::core {
 namespace {
@@ -41,7 +41,7 @@ TEST(Eviction, PolicyNames) {
 
 TEST(Eviction, LruEvictsStalest) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(EvictionPolicy::kLru, 60));
+  ShardedCache cache(repo, config(EvictionPolicy::kLru, 60));
   (void)cache.request(make_spec(repo, {1, 2}));    // A
   (void)cache.request(make_spec(repo, {10, 11}));  // B
   (void)cache.request(make_spec(repo, {1, 2}));    // touch A
@@ -52,7 +52,7 @@ TEST(Eviction, LruEvictsStalest) {
 
 TEST(Eviction, LfuEvictsFewestHits) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(EvictionPolicy::kLfu, 60));
+  ShardedCache cache(repo, config(EvictionPolicy::kLfu, 60));
   (void)cache.request(make_spec(repo, {1, 2}));    // A
   (void)cache.request(make_spec(repo, {1, 2}));    // A: 1 hit
   (void)cache.request(make_spec(repo, {10, 11}));  // B: 0 hits
@@ -65,7 +65,7 @@ TEST(Eviction, LfuEvictsFewestHits) {
 
 TEST(Eviction, LargestFirstEvictsBiggest) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(EvictionPolicy::kLargestFirst, 80));
+  ShardedCache cache(repo, config(EvictionPolicy::kLargestFirst, 80));
   (void)cache.request(make_spec(repo, {1, 2, 3, 4, 5}));  // big: 50 bytes
   (void)cache.request(make_spec(repo, {10, 11}));         // small: 20 bytes
   (void)cache.request(make_spec(repo, {20, 21}));  // 90 > 80: evicts big
@@ -76,7 +76,7 @@ TEST(Eviction, LargestFirstEvictsBiggest) {
 
 TEST(Eviction, HitDensityKeepsHotSmallImages) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, config(EvictionPolicy::kHitDensity, 80));
+  ShardedCache cache(repo, config(EvictionPolicy::kHitDensity, 80));
   (void)cache.request(make_spec(repo, {1, 2, 3, 4, 5}));  // big, cold
   (void)cache.request(make_spec(repo, {10, 11}));         // small
   (void)cache.request(make_spec(repo, {10, 11}));         // small now hot
@@ -90,7 +90,7 @@ TEST(Eviction, JustServedImageNeverEvicted) {
   const auto repo = flat_repo(100);
   for (auto policy : {EvictionPolicy::kLru, EvictionPolicy::kLfu,
                       EvictionPolicy::kLargestFirst, EvictionPolicy::kHitDensity}) {
-    Cache cache(repo, config(policy, 30));
+    ShardedCache cache(repo, config(policy, 30));
     (void)cache.request(make_spec(repo, {1, 2}));
     // 50-byte image exceeds a 30-byte budget on its own, but it must
     // survive its own request even though other images get evicted.
@@ -103,7 +103,7 @@ TEST(Eviction, AllPoliciesRespectBudgetEventually) {
   const auto repo = flat_repo(200);
   for (auto policy : {EvictionPolicy::kLru, EvictionPolicy::kLfu,
                       EvictionPolicy::kLargestFirst, EvictionPolicy::kHitDensity}) {
-    Cache cache(repo, config(policy, 100));
+    ShardedCache cache(repo, config(policy, 100));
     for (std::uint32_t i = 0; i + 3 < 200; i += 3) {
       (void)cache.request(make_spec(repo, {i, i + 1, i + 2}));
     }

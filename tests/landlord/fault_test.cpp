@@ -209,11 +209,7 @@ void expect_invariants(const core::Landlord& landlord) {
     ++count;
     EXPECT_EQ(image.bytes, repo().bytes_of(image.contents.bits()));
   };
-  if (landlord.sharded() != nullptr) {
-    landlord.sharded()->for_each_image(visit);
-  } else {
-    landlord.cache().for_each_image(visit);
-  }
+  landlord.cache().for_each_image(visit);
   EXPECT_EQ(summed, landlord.total_bytes());
   EXPECT_EQ(count, landlord.image_count());
   EXPECT_LE(landlord.unique_bytes(), landlord.total_bytes());

@@ -6,7 +6,7 @@
 
 #include <tuple>
 
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
 #include "sim/workload.hpp"
 
@@ -40,7 +40,7 @@ TEST_P(FeatureMatrixTest, InvariantsHoldEndToEnd) {
   config.enable_split = split;
   config.split_utilization = 0.3;
   config.capacity = repo.total_bytes() / 3;
-  Cache cache(repo, config);
+  ShardedCache cache(repo, config);
 
   sim::WorkloadConfig workload;
   workload.unique_jobs = 50;

@@ -2,7 +2,7 @@
 // even under budget — the "bloated image eventually evicted" mechanism.
 #include <gtest/gtest.h>
 
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 
 namespace landlord::core {
 namespace {
@@ -31,7 +31,7 @@ TEST(IdleEviction, DisabledByDefault) {
   CacheConfig config;
   config.alpha = 0.0;
   config.capacity = 1'000'000;
-  Cache cache(repo, config);
+  ShardedCache cache(repo, config);
   (void)cache.request(make_spec(repo, {1}));
   for (std::uint32_t i = 10; i < 60; ++i) {
     (void)cache.request(make_spec(repo, {i}));
@@ -46,7 +46,7 @@ TEST(IdleEviction, IdleImageAgesOut) {
   config.alpha = 0.0;
   config.capacity = 1'000'000;
   config.max_idle_requests = 5;
-  Cache cache(repo, config);
+  ShardedCache cache(repo, config);
   (void)cache.request(make_spec(repo, {1}));
   for (std::uint32_t i = 10; i < 20; ++i) {
     (void)cache.request(make_spec(repo, {i}));
@@ -61,7 +61,7 @@ TEST(IdleEviction, ActiveImageSurvives) {
   config.alpha = 0.0;
   config.capacity = 1'000'000;
   config.max_idle_requests = 4;
-  Cache cache(repo, config);
+  ShardedCache cache(repo, config);
   (void)cache.request(make_spec(repo, {1}));
   for (std::uint32_t round = 0; round < 10; ++round) {
     (void)cache.request(make_spec(repo, {50 + round}));
@@ -76,7 +76,7 @@ TEST(IdleEviction, ExactBoundaryIsKept) {
   config.alpha = 0.0;
   config.capacity = 1'000'000;
   config.max_idle_requests = 3;
-  Cache cache(repo, config);
+  ShardedCache cache(repo, config);
   (void)cache.request(make_spec(repo, {1}));  // clock 1
   (void)cache.request(make_spec(repo, {2}));  // clock 2: idle 1
   (void)cache.request(make_spec(repo, {3}));  // clock 3: idle 2
@@ -90,7 +90,7 @@ TEST(IdleEviction, CountsTowardDeletesAndBytes) {
   config.alpha = 0.0;
   config.capacity = 1'000'000;
   config.max_idle_requests = 2;
-  Cache cache(repo, config);
+  ShardedCache cache(repo, config);
   (void)cache.request(make_spec(repo, {1, 2}));
   (void)cache.request(make_spec(repo, {10}));
   (void)cache.request(make_spec(repo, {11}));

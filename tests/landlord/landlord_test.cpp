@@ -123,5 +123,64 @@ TEST(Landlord, WorksWithInferredSpecs) {
   EXPECT_EQ(placement.kind, RequestKind::kInsert);
 }
 
+TEST(Landlord, DecisionViolationChecksThePlacementAgainstItsOutcome) {
+  ShardedCache::Outcome merge;
+  merge.kind = RequestKind::kMerge;
+  merge.image = ImageId{7};
+  merge.image_bytes = 500;
+  merge.requested_bytes = 120;
+
+  JobPlacement sound;
+  sound.kind = RequestKind::kMerge;
+  sound.image = ImageId{7};
+  sound.image_bytes = 500;
+  sound.requested_bytes = 120;
+  EXPECT_EQ(decision_violation(merge, sound), std::nullopt);
+
+  JobPlacement wrong_size = sound;
+  wrong_size.image_bytes = 499;
+  EXPECT_NE(decision_violation(merge, wrong_size), std::nullopt);
+  JobPlacement wrong_image = sound;
+  wrong_image.image = ImageId{8};
+  EXPECT_NE(decision_violation(merge, wrong_image), std::nullopt);
+
+  // Rung 2: the uncached sentinel at exactly the requested size.
+  JobPlacement exact = sound;
+  exact.kind = RequestKind::kInsert;
+  exact.degraded = true;
+  exact.image = kUncachedImage;
+  exact.image_bytes = 120;
+  EXPECT_EQ(decision_violation(merge, exact), std::nullopt);
+  exact.image_bytes = 500;
+  EXPECT_NE(decision_violation(merge, exact), std::nullopt);
+  JobPlacement degraded_insert = sound;
+  degraded_insert.kind = RequestKind::kInsert;
+  degraded_insert.degraded = true;
+  EXPECT_NE(decision_violation(merge, degraded_insert), std::nullopt);
+
+  // Rung 3: the unsplit image the split was carved from, pre-split size.
+  ShardedCache::Outcome split;
+  split.kind = RequestKind::kHit;
+  split.split = true;
+  split.image = ImageId{9};
+  split.image_bytes = 100;
+  split.split_from = ImageId{3};
+  split.split_from_bytes = 900;
+  JobPlacement unsplit;
+  unsplit.kind = RequestKind::kHit;
+  unsplit.degraded = true;
+  unsplit.image = ImageId{3};
+  unsplit.image_bytes = 900;
+  EXPECT_EQ(decision_violation(split, unsplit), std::nullopt);
+  unsplit.image = ImageId{9};
+  EXPECT_NE(decision_violation(split, unsplit), std::nullopt);
+
+  JobPlacement failed;
+  failed.failed = true;
+  EXPECT_NE(decision_violation(merge, failed), std::nullopt);
+  failed.error = "ladder exhausted";
+  EXPECT_EQ(decision_violation(merge, failed), std::nullopt);
+}
+
 }  // namespace
 }  // namespace landlord::core

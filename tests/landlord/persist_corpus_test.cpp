@@ -101,7 +101,7 @@ TEST(PersistCorpus, EverySnapshotMatchesItsExpectation) {
       }
     }
     if (result.ok()) {
-      EXPECT_EQ(result.value().image_count(), expect.restored);
+      EXPECT_EQ(result.value()->image_count(), expect.restored);
     }
   }
 }
@@ -114,13 +114,12 @@ TEST(PersistCorpus, ShardedRestoreNeverCrashesAndAgreesOnPrefix) {
 
     auto sharded_config = config();
     sharded_config.shards = 4;
-    ShardedCache cache(repo(), sharded_config);
     RestoreReport report;
-    auto result = restore_cache_into(in, repo(), cache, &report);
+    auto result = restore_cache(in, repo(), sharded_config, &report);
     EXPECT_EQ(result.ok(), expect.ok);
     if (result.ok()) {
-      EXPECT_EQ(result.value(), expect.restored);
-      EXPECT_EQ(cache.image_count(), expect.restored);
+      EXPECT_EQ(report.images_restored, expect.restored);
+      EXPECT_EQ(result.value()->image_count(), expect.restored);
     }
   }
 }
@@ -132,7 +131,7 @@ TEST(PersistCorpus, GoodV2RoundTripsByteForByte) {
   ASSERT_TRUE(result.ok());
 
   std::ostringstream out;
-  save_cache(out, result.value(), repo(), SnapshotFormat::kV2);
+  save_cache(out, *result.value(), repo(), SnapshotFormat::kV2);
 
   std::ifstream reread(corpus_path("v2_good.snapshot"));
   std::stringstream original;
@@ -147,9 +146,9 @@ TEST(PersistCorpus, DuplicateRecordKeepsOnlyTheFirstCopy) {
   ASSERT_TRUE(result.ok());
   // The restored cache holds the 3-record prefix with no two images
   // sharing contents — the invariant the duplicate would have broken.
-  EXPECT_EQ(result.value().image_count(), 3u);
+  EXPECT_EQ(result.value()->image_count(), 3u);
   std::vector<spec::PackageSet> contents;
-  result.value().for_each_image(
+  result.value()->for_each_image(
       [&](const Image& image) { contents.push_back(image.contents); });
   for (std::size_t a = 0; a < contents.size(); ++a) {
     for (std::size_t b = a + 1; b < contents.size(); ++b) {
@@ -170,7 +169,7 @@ TEST(PersistCorpus, TrailingBytesRestoreTheExactGoodSnapshot) {
   EXPECT_EQ(report.records_lost, 0u);
 
   std::ostringstream out;
-  save_cache(out, result.value(), repo(), SnapshotFormat::kV2);
+  save_cache(out, *result.value(), repo(), SnapshotFormat::kV2);
   std::ifstream good(corpus_path("v2_good.snapshot"));
   std::stringstream original;
   original << good.rdbuf();
@@ -184,7 +183,7 @@ TEST(PersistCorpus, ConstraintsSurviveThePrefixCut) {
   auto partial = restore_cache(damaged, repo(), config(), nullptr);
   ASSERT_TRUE(partial.ok());
   std::size_t constraints = 0;
-  partial.value().for_each_image(
+  partial.value()->for_each_image(
       [&](const Image& image) { constraints += image.constraints.size(); });
   EXPECT_EQ(constraints, 0u);
 
@@ -193,7 +192,7 @@ TEST(PersistCorpus, ConstraintsSurviveThePrefixCut) {
   auto full = restore_cache(good, repo(), config(), nullptr);
   ASSERT_TRUE(full.ok());
   constraints = 0;
-  full.value().for_each_image(
+  full.value()->for_each_image(
       [&](const Image& image) { constraints += image.constraints.size(); });
   EXPECT_EQ(constraints, 1u);
 }

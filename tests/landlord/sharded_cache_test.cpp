@@ -1,12 +1,16 @@
-// Sequential-equivalence oracle for the sharded cache.
+// Shard-count equivalence oracle for the decision engine.
 //
-// With a single replay thread the ShardedCache promises bit-identical
-// decisions to the sequential Cache for ANY shard count (sharded.hpp,
-// "Determinism"). This suite replays the same seeded workload through
-// both and compares every counter and the full final image set — ids,
-// contents, sizes, usage history — across shard counts, merge policies,
-// alphas, eviction pressure, splitting and idle eviction. Any divergence
-// in decision order, tie-breaking or ledger arithmetic fails here.
+// With a single replay thread the engine promises bit-identical
+// decisions for ANY shard count (sharded.hpp, "Determinism"). This suite
+// replays the same seeded workload through the single-shard scan path —
+// the reference, which golden_corpus_test.cpp in turn pins to the
+// frozen sequential corpus — and through 1..8 shards with the decision
+// index on and off, and compares every per-request outcome, counter,
+// time-series sample, persisted snapshot and the full final image set —
+// ids, contents, sizes, usage history — across merge policies, eviction
+// policies, alphas, eviction pressure, delta accounting, splitting and
+// idle eviction. Any divergence in decision order, tie-breaking or
+// ledger arithmetic fails here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +18,6 @@
 #include <tuple>
 #include <vector>
 
-#include "landlord/cache.hpp"
 #include "landlord/persist.hpp"
 #include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
@@ -39,11 +42,11 @@ struct Replay {
   std::vector<std::uint32_t> stream;
 };
 
-Replay make_replay(std::uint64_t seed) {
+Replay make_replay(std::uint64_t seed, std::uint32_t max_selection = 20) {
   sim::WorkloadConfig workload;
   workload.unique_jobs = 60;
   workload.repetitions = 3;
-  workload.max_initial_selection = 20;
+  workload.max_initial_selection = max_selection;
   sim::WorkloadGenerator generator(shared_repo(), workload, util::Rng(seed));
   return {generator.unique_specifications(), generator.request_stream()};
 }
@@ -65,13 +68,18 @@ void expect_equal_counters(const CacheCounters& seq, const CacheCounters& shd) {
   EXPECT_EQ(seq.conflict_rejections, shd.conflict_rejections);
   EXPECT_EQ(seq.requested_bytes, shd.requested_bytes);
   EXPECT_EQ(seq.written_bytes, shd.written_bytes);
+  EXPECT_EQ(seq.delta_merges, shd.delta_merges);
+  EXPECT_EQ(seq.repacks, shd.repacks);
+  EXPECT_EQ(seq.delta_written_bytes, shd.delta_written_bytes);
+  EXPECT_EQ(seq.repack_written_bytes, shd.repack_written_bytes);
+  EXPECT_EQ(seq.full_rewrite_bytes, shd.full_rewrite_bytes);
   EXPECT_DOUBLE_EQ(seq.container_efficiency_sum, shd.container_efficiency_sum);
   // Single-threaded replay never races: no retries, no contention.
   EXPECT_EQ(shd.shard_lock_contentions, 0u);
   EXPECT_EQ(shd.optimistic_retries, 0u);
 }
 
-void expect_equal_images(const Cache& seq, const ShardedCache& shd) {
+void expect_equal_images(const ShardedCache& seq, const ShardedCache& shd) {
   std::vector<Image> sequential;
   seq.for_each_image([&](const Image& image) { sequential.push_back(image); });
   sequential = sorted_images(std::move(sequential));
@@ -97,19 +105,38 @@ void expect_equal_images(const Cache& seq, const ShardedCache& shd) {
   EXPECT_DOUBLE_EQ(seq.cache_efficiency(), shd.cache_efficiency());
 }
 
-/// Replays the same stream through four caches — sequential and sharded,
-/// each with the sublinear decision index on and off — and compares every
-/// per-request outcome, the counters, the final image sets, and the
-/// persisted snapshots. The scan path is the oracle the indexed path must
-/// reproduce bit for bit (CacheConfig::decision_index).
-void run_oracle(CacheConfig config, std::uint32_t shards, std::uint64_t seed) {
+void expect_equal_series(const TimeSeries& seq, const TimeSeries& shd) {
+  ASSERT_EQ(seq.samples().size(), shd.samples().size());
+  for (std::size_t i = 0; i < seq.samples().size(); ++i) {
+    const RequestSample& a = seq.samples()[i];
+    const RequestSample& b = shd.samples()[i];
+    ASSERT_EQ(static_cast<int>(a.kind), static_cast<int>(b.kind)) << "sample " << i;
+    ASSERT_EQ(a.hits, b.hits) << "sample " << i;
+    ASSERT_EQ(a.inserts, b.inserts) << "sample " << i;
+    ASSERT_EQ(a.deletes, b.deletes) << "sample " << i;
+    ASSERT_EQ(a.merges, b.merges) << "sample " << i;
+    ASSERT_EQ(a.cached_bytes, b.cached_bytes) << "sample " << i;
+    ASSERT_EQ(a.unique_bytes, b.unique_bytes) << "sample " << i;
+    ASSERT_EQ(a.cumulative_written, b.cumulative_written) << "sample " << i;
+    ASSERT_EQ(a.cumulative_requested, b.cumulative_requested) << "sample " << i;
+    ASSERT_EQ(a.image_count, b.image_count) << "sample " << i;
+  }
+}
+
+/// Replays the same stream through four caches — one shard and `shards`
+/// shards, each with the sublinear decision index on and off — and
+/// compares every per-request outcome, the counters, the time series,
+/// the final image sets, and the persisted snapshots. The single-shard
+/// scan path is the reference the others must reproduce bit for bit.
+void run_oracle(CacheConfig config, std::uint32_t shards, std::uint64_t seed,
+                std::uint32_t max_selection = 20) {
   const auto& repo = shared_repo();
-  const auto replay = make_replay(seed);
+  const auto replay = make_replay(seed, max_selection);
 
   config.decision_index = false;
-  Cache seq_scan(repo, config);
+  ShardedCache seq_scan(repo, config);
   config.decision_index = true;
-  Cache seq_indexed(repo, config);
+  ShardedCache seq_indexed(repo, config);
   config.shards = shards;
   config.decision_index = false;
   ShardedCache shd_scan(repo, config);
@@ -118,9 +145,10 @@ void run_oracle(CacheConfig config, std::uint32_t shards, std::uint64_t seed) {
 
   for (std::uint32_t index : replay.stream) {
     const auto expected = seq_scan.request(replay.specs[index]);
-    const Cache::Outcome outcomes[] = {seq_indexed.request(replay.specs[index]),
-                                       shd_scan.request(replay.specs[index]),
-                                       shd_indexed.request(replay.specs[index])};
+    const ShardedCache::Outcome outcomes[] = {
+        seq_indexed.request(replay.specs[index]),
+        shd_scan.request(replay.specs[index]),
+        shd_indexed.request(replay.specs[index])};
     // Every outcome kind carries the spec's own size, whichever layer
     // decided it.
     ASSERT_EQ(expected.requested_bytes, replay.specs[index].bytes(repo));
@@ -139,20 +167,30 @@ void run_oracle(CacheConfig config, std::uint32_t shards, std::uint64_t seed) {
   expect_equal_images(seq_scan, shd_scan);
   expect_equal_images(seq_indexed, shd_indexed);
   expect_equal_images(seq_scan, shd_indexed);
+  if (config.record_time_series) {
+    const auto reference = seq_scan.time_series();
+    EXPECT_EQ(reference.samples().size(), replay.stream.size());
+    expect_equal_series(reference, seq_indexed.time_series());
+    expect_equal_series(reference, shd_scan.time_series());
+    expect_equal_series(reference, shd_indexed.time_series());
+  }
 
   // The index structures themselves must still reconcile with a
   // from-scratch rebuild after the whole replay.
   EXPECT_EQ(seq_indexed.check_decision_index(), std::nullopt);
   EXPECT_EQ(shd_indexed.check_decision_index(), std::nullopt);
 
-  // Persisted snapshots must be byte-identical with the knob on or off.
+  // Persisted snapshots must be byte-identical across shard counts and
+  // with the knob on or off.
   const auto snapshot_of = [&repo](const auto& cache) {
     std::ostringstream out;
     save_cache(out, cache, repo, SnapshotFormat::kV2);
     return out.str();
   };
-  EXPECT_EQ(snapshot_of(seq_scan), snapshot_of(seq_indexed));
-  EXPECT_EQ(snapshot_of(shd_scan), snapshot_of(shd_indexed));
+  const std::string reference = snapshot_of(seq_scan);
+  EXPECT_EQ(reference, snapshot_of(seq_indexed));
+  EXPECT_EQ(reference, snapshot_of(shd_scan));
+  EXPECT_EQ(reference, snapshot_of(shd_indexed));
 }
 
 class ShardedEquivalenceTest
@@ -164,6 +202,7 @@ TEST_P(ShardedEquivalenceTest, MatchesSequentialUnderEvictionPressure) {
   config.alpha = alpha;
   config.policy = policy;
   config.capacity = shared_repo().total_bytes() / 4;  // forces evictions
+  config.record_time_series = true;
   run_oracle(config, shards, /*seed=*/5);
 }
 
@@ -174,12 +213,44 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(MergePolicy::kBestFit, MergePolicy::kFirstFit,
                                      MergePolicy::kMinHashLsh)));
 
+// Every eviction policy, with and without delta-merge accounting: the
+// victim order and the write ledgers (delta, repack and the full-rewrite
+// counterfactual) must match the single-shard scan reference exactly.
+class ShardedEvictionDeltaTest
+    : public testing::TestWithParam<
+          std::tuple<std::uint32_t, EvictionPolicy, std::uint32_t>> {};
+
+TEST_P(ShardedEvictionDeltaTest, MatchesSequential) {
+  const auto [shards, eviction, delta_cap] = GetParam();
+  CacheConfig config;
+  config.alpha = 0.6;
+  config.eviction = eviction;
+  config.delta_chain_cap = delta_cap;
+  config.enable_split = true;
+  config.split_utilization = 0.5;
+  config.max_idle_requests = 40;
+  config.record_time_series = true;
+  // Small specs and half the repository: a handful of images stay
+  // resident, so every policy has real victims to order.
+  config.capacity = shared_repo().total_bytes() / 2;
+  run_oracle(config, shards, /*seed=*/17, /*max_selection=*/4);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsByEvictionByDelta, ShardedEvictionDeltaTest,
+    testing::Combine(testing::Values(1u, 4u),
+                     testing::Values(EvictionPolicy::kLru, EvictionPolicy::kLfu,
+                                     EvictionPolicy::kLargestFirst,
+                                     EvictionPolicy::kHitDensity),
+                     testing::Values(0u, 2u)));
+
 TEST(ShardedEquivalence, SplitConfigMatchesSequential) {
   CacheConfig config;
   config.alpha = 0.9;
   config.enable_split = true;
   config.split_utilization = 0.5;  // aggressive: plenty of splits
   config.capacity = shared_repo().total_bytes();
+  config.record_time_series = true;
   for (const std::uint32_t shards : {1u, 4u, 8u}) {
     run_oracle(config, shards, /*seed=*/9);
   }
@@ -190,6 +261,7 @@ TEST(ShardedEquivalence, IdleEvictionMatchesSequential) {
   config.alpha = 0.5;
   config.max_idle_requests = 25;
   config.capacity = shared_repo().total_bytes();
+  config.record_time_series = true;
   for (const std::uint32_t shards : {1u, 4u, 8u}) {
     run_oracle(config, shards, /*seed=*/13);
   }
@@ -202,7 +274,7 @@ TEST(ShardedEquivalence, AdoptMatchesSequential) {
   CacheConfig config;
   config.alpha = 0.7;
   config.capacity = repo.total_bytes() / 4;
-  Cache sequential(repo, config);
+  ShardedCache sequential(repo, config);
   config.shards = 4;
   ShardedCache sharded(repo, config);
 

@@ -3,7 +3,7 @@
 // remainder carrying the other constituents.
 #include <gtest/gtest.h>
 
-#include "landlord/cache.hpp"
+#include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
 #include "sim/workload.hpp"
 
@@ -40,7 +40,7 @@ CacheConfig split_config(double utilization = 0.5) {
 
 TEST(Split, BloatedHitSplitsImage) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, split_config(0.5));
+  ShardedCache cache(repo, split_config(0.5));
   (void)cache.request(make_spec(repo, {1, 2}));            // A
   (void)cache.request(make_spec(repo, {50, 51, 52, 53}));  // merged: 6 pkgs
   // Requesting {1,2} now hits a 60-byte image with 20 bytes requested
@@ -54,7 +54,7 @@ TEST(Split, BloatedHitSplitsImage) {
 
 TEST(Split, RemainderStillServesOtherConstituent) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, split_config(0.5));
+  ShardedCache cache(repo, split_config(0.5));
   (void)cache.request(make_spec(repo, {1, 2}));
   (void)cache.request(make_spec(repo, {50, 51, 52, 53}));
   (void)cache.request(make_spec(repo, {1, 2}));  // split
@@ -68,7 +68,7 @@ TEST(Split, DisabledByDefault) {
   CacheConfig c;
   c.alpha = 1.0;
   c.capacity = 1'000'000;
-  Cache cache(repo, c);
+  ShardedCache cache(repo, c);
   (void)cache.request(make_spec(repo, {1, 2}));
   (void)cache.request(make_spec(repo, {50, 51, 52, 53}));
   const auto outcome = cache.request(make_spec(repo, {1, 2}));
@@ -78,7 +78,7 @@ TEST(Split, DisabledByDefault) {
 
 TEST(Split, HighUtilizationHitDoesNotSplit) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, split_config(0.25));
+  ShardedCache cache(repo, split_config(0.25));
   (void)cache.request(make_spec(repo, {1, 2, 3}));
   (void)cache.request(make_spec(repo, {1, 2, 4}));  // merged: 4 pkgs
   // {1,2,3} uses 30 of 40 bytes = 0.75 utilization > 0.25: no split.
@@ -89,7 +89,7 @@ TEST(Split, HighUtilizationHitDoesNotSplit) {
 
 TEST(Split, NeverSplitsUnmergedImages) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, split_config(0.99));
+  ShardedCache cache(repo, split_config(0.99));
   (void)cache.request(make_spec(repo, {1, 2, 3, 4, 5, 6, 7, 8}));
   // Subset hit with tiny utilization, but the image was never merged —
   // splitting a pristine insert would serve no one.
@@ -100,7 +100,7 @@ TEST(Split, NeverSplitsUnmergedImages) {
 
 TEST(Split, SplitChargesWrites) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, split_config(0.5));
+  ShardedCache cache(repo, split_config(0.5));
   (void)cache.request(make_spec(repo, {1, 2}));            // write 20
   (void)cache.request(make_spec(repo, {50, 51, 52, 53}));  // write 60 (merge)
   const auto before = cache.counters().written_bytes;
@@ -110,7 +110,7 @@ TEST(Split, SplitChargesWrites) {
 
 TEST(Split, TotalBytesConsistentAfterSplit) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, split_config(0.5));
+  ShardedCache cache(repo, split_config(0.5));
   (void)cache.request(make_spec(repo, {1, 2}));
   (void)cache.request(make_spec(repo, {50, 51, 52, 53}));
   (void)cache.request(make_spec(repo, {1, 2}));
@@ -122,7 +122,7 @@ TEST(Split, TotalBytesConsistentAfterSplit) {
 
 TEST(Split, RemainderVersionBumpsForWorkerInvalidation) {
   const auto repo = flat_repo(100);
-  Cache cache(repo, split_config(0.5));
+  ShardedCache cache(repo, split_config(0.5));
   const auto first = cache.request(make_spec(repo, {1, 2}));
   (void)cache.request(make_spec(repo, {50, 51, 52, 53}));
   const auto merged_version = cache.find(first.image)->version;
@@ -145,7 +145,7 @@ TEST(Split, EndToEndOnSyntheticWorkload) {
   c.capacity = repo.value().total_bytes() / 2;
   c.enable_split = true;
   c.split_utilization = 0.3;
-  Cache cache(repo.value(), c);
+  ShardedCache cache(repo.value(), c);
 
   sim::WorkloadConfig workload;
   workload.unique_jobs = 80;

@@ -4,10 +4,9 @@
 // placement field equal (doubles compared as IEEE-754 bit patterns, not
 // approximately), and the decision-layer counters equal field by field.
 //
-// The determinism contract under test (docs/serve.md): with a
-// sequential decision layer the server serialises submits, and with one
-// worker and one connection processing order equals arrival order, so
-// the network adds nothing but transport.
+// The determinism contract under test (docs/serve.md): with one worker
+// and one connection processing order equals arrival order, so the
+// network adds nothing but transport.
 
 #include <cstring>
 #include <span>

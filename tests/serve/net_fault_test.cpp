@@ -56,7 +56,7 @@ core::CacheConfig cache_config() {
   core::CacheConfig config;
   config.alpha = 0.8;
   config.capacity = repo().total_bytes() / 2;
-  return config;  // sequential decision layer: arrival order is law
+  return config;  // one shard, one worker: arrival order is law
 }
 
 /// Polls a counter until `pred` holds or `budget` passes. The budget is

@@ -336,10 +336,10 @@ TEST(DispatchReplay, OrderedEvictionIndexMatchesTheScan) {
 }
 
 TEST(DispatchReplay, SequentialAndShardedCachesAgreeOnDispatchCounters) {
-  // Satellite: the same churn plan replayed through the sequential Cache
-  // and a single-threaded ShardedCache, with the decision index on and
-  // off, must produce identical dispatch-plane counters — the head-node
-  // decision layer is interchangeable below the dispatch plane.
+  // The same churn plan replayed single-threaded at one and four shards,
+  // with the decision index on and off, must produce identical
+  // dispatch-plane counters — the shard layout is invisible below the
+  // dispatch plane.
   const auto load = workload(70, 13);
   std::vector<sim::TransferResult> results;
   for (const std::uint32_t shards : {1u, 4u}) {

@@ -3,6 +3,7 @@
 // merging absorbs gradual software evolution.
 #include <gtest/gtest.h>
 
+#include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
 #include "sim/driver.hpp"
 #include "sim/workload.hpp"
@@ -103,7 +104,7 @@ TEST(Drift, DriftedStreamStillMergesUnderModerateAlpha) {
   core::CacheConfig cache_config;
   cache_config.alpha = 0.8;
   cache_config.capacity = repo().total_bytes();
-  core::Cache cache(repo(), cache_config);
+  core::ShardedCache cache(repo(), cache_config);
 
   for (int generation = 0; generation < 4; ++generation) {
     for (auto& spec : specs) {

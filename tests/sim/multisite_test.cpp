@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
 #include "sim/workload.hpp"
 
@@ -89,7 +90,7 @@ TEST(MultiSite, SingleSiteMatchesPlainCache) {
   const auto multi = run_multisite(repo(), config, workload.specs,
                                    workload.stream, 1);
 
-  core::Cache cache(repo(), config.cache);
+  core::ShardedCache cache(repo(), config.cache);
   for (auto index : workload.stream) (void)cache.request(workload.specs[index]);
 
   ASSERT_EQ(multi.per_site.size(), 1u);

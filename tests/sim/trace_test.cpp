@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
 #include "sim/driver.hpp"
 #include "sim/workload.hpp"
@@ -59,7 +60,7 @@ TEST(Trace, ReplayedTraceGivesIdenticalSimulation) {
     core::CacheConfig config;
     config.alpha = 0.8;
     config.capacity = repo().total_bytes() / 3;
-    core::Cache cache(repo(), config);
+    core::ShardedCache cache(repo(), config);
     for (auto index : t.stream) (void)cache.request(t.specs[index]);
     return cache.counters();
   };
