@@ -445,9 +445,10 @@ void BM_BuildMerge(benchmark::State& state) {
 BENCHMARK(BM_BuildMerge)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // ---- The head node's hit path per frame: the client encodes one
-// 256-spec kBatchSubmit frame, the server decodes it, and every decided
-// spec's requested bytes are summed once. Specs are the load generator's
-// catalog over the same 1500-package repository.
+// 256-spec kBatchSubmit frame, the server decodes it and rebuilds each
+// spec's package set, and every decided spec's requested bytes are
+// summed once. Specs are the load generator's catalog over the same
+// 1500-package repository.
 
 const std::vector<serve::SubmitRequest>& frame_specs() {
   static const std::vector<serve::SubmitRequest> specs = [] {
@@ -488,6 +489,19 @@ void BM_DecodeBatchSubmit(benchmark::State& state) {
   count_frame(state, wire.size());
 }
 BENCHMARK(BM_DecodeBatchSubmit)->Unit(benchmark::kMicrosecond);
+
+/// Each decoded frame request rebuilt as the Specification the cache
+/// decides on: one bulk bitset build and one popcount per spec.
+void BM_ToSpecification(benchmark::State& state) {
+  const std::size_t universe = build_repo().size();
+  for (auto _ : state) {
+    for (const auto& request : frame_specs()) {
+      benchmark::DoNotOptimize(serve::to_specification(request, universe));
+    }
+  }
+  count_frame(state);
+}
+BENCHMARK(BM_ToSpecification)->Unit(benchmark::kMicrosecond);
 
 /// Requested bytes of each frame spec, one Repository::bytes_of per spec.
 void BM_SpecBytes(benchmark::State& state) {

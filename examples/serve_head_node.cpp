@@ -70,7 +70,7 @@ struct Options {
   // Server shape.
   std::uint16_t port = 0;
   std::uint32_t workers = 8;
-  std::uint32_t shards = 8;
+  std::uint32_t shards = 1;  // CacheConfig's default: one shard lock
   std::size_t max_queue = 1024;
   std::uint32_t heads = 1;
   std::optional<std::size_t> pipeline_depth;

@@ -105,10 +105,10 @@ ctest --test-dir build-asan -L 'perf|simd' --output-on-failure -j "$JOBS"
 # the portable kernels are the oracle, so they too must be clean.
 LANDLORD_NO_SIMD=1 ctest --test-dir build-asan -L simd --output-on-failure -j "$JOBS"
 cmake --build build --target micro_ops fig5_single_run -j "$JOBS"
-# Smoke-run the submit-codec and requested-bytes micro-benchmarks so they
-# keep building and running.
+# Smoke-run the hit-path micro-benchmarks (submit codec, spec rebuild,
+# requested-bytes sum, memo hit) so they keep building and running.
 build/bench/micro_ops \
-  --benchmark_filter='EncodeBatchSubmit|DecodeBatchSubmit|SpecBytes' \
+  --benchmark_filter='EncodeBatchSubmit|DecodeBatchSubmit|ToSpecification|SpecBytes|MemoHit' \
   --benchmark_min_time=0.05
 scripts/bench_decision.sh build
 

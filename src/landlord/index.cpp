@@ -59,12 +59,19 @@ void DecisionIndex::update(const Image& image,
 
 void DecisionIndex::touch(const EvictionKey& old_key,
                           const EvictionKey& new_key) {
-  const auto erased = order_.erase(old_key);
-  assert(erased == 1 && "eviction key not indexed");
-  (void)erased;
-  const bool inserted = order_.insert(new_key).second;
-  assert(inserted && "duplicate eviction key");
-  (void)inserted;
+  // Re-key the node in place: no free/malloc. Under LRU a touched key
+  // carries the newest stamp and so orders last, which makes the end()
+  // hint exact and the insert O(1); other policies pay the O(log n)
+  // search a wrong hint falls back to.
+  auto node = order_.extract(old_key);
+  assert(!node.empty() && "eviction key not indexed");
+  if (node.empty()) [[unlikely]] {
+    order_.insert(new_key);  // what erase + insert would leave behind
+  } else {
+    node.value() = new_key;
+    order_.insert(order_.end(), std::move(node));
+    assert(node.empty() && "duplicate eviction key");
+  }
   ++stats_.eviction_updates;
 }
 
@@ -197,16 +204,40 @@ std::optional<std::string> DecisionIndex::reconcile(
   return std::nullopt;
 }
 
+SpecMemo::Slot& SpecMemo::probe(std::uint64_t fp) noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = static_cast<std::size_t>(fp >> shift_);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.key == 0 || slot.fingerprint == fp) return slot;
+  }
+}
+
+bool SpecMemo::same_key(const Slot& slot,
+                        const spec::PackageSet& key) const noexcept {
+  if (slot.key_size != key.size() || key.universe() != key_bits_) return false;
+  const auto& words = key.bits().words();
+  return std::equal(words.begin(), words.end(),
+                    keys_.begin() + static_cast<std::ptrdiff_t>(
+                                        (slot.key - 1) * words.size()));
+}
+
+void SpecMemo::clear() noexcept {
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  keys_.clear();
+  used_ = 0;
+}
+
 std::optional<SpecMemo::Decision> SpecMemo::lookup(
     const spec::PackageSet& key) {
   const std::uint64_t now = epoch();
   const std::uint64_t fp = fingerprint(key);
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(fp);
-  if (it != entries_.end() && it->second.epoch == now &&
-      it->second.key == key) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second.decision;
+  if (!slots_.empty()) {
+    const Slot& slot = probe(fp);
+    if (slot.key != 0 && slot.epoch == now && same_key(slot, key)) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return slot.decision;
+    }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   return std::nullopt;
@@ -216,14 +247,28 @@ void SpecMemo::store(const spec::PackageSet& key, ImageId image,
                      std::size_t shard, std::uint64_t at_epoch) {
   if (at_epoch != epoch()) return;  // the world moved on mid-decision
   const std::uint64_t fp = fingerprint(key);
+  const auto& words = key.bits().words();
   std::lock_guard<std::mutex> lock(mutex_);
-  if (entries_.size() >= capacity_ && entries_.find(fp) == entries_.end()) {
-    entries_.clear();
+  if (slots_.empty()) slots_.resize(std::size_t{1} << (64 - shift_));
+  if (key.universe() != key_bits_) {
+    clear();
+    key_bits_ = key.universe();
   }
-  Entry& entry = entries_[fp];
-  entry.epoch = at_epoch;
-  entry.key = key;
-  entry.decision = Decision{image, shard};
+  Slot* slot = &probe(fp);
+  if (slot->key == 0) {
+    if (used_ >= capacity_) {
+      clear();
+      slot = &probe(fp);
+    }
+    slot->fingerprint = fp;
+    slot->key = ++used_;
+    keys_.resize(used_ * words.size());
+  }
+  slot->epoch = at_epoch;
+  slot->decision = Decision{image, shard};
+  slot->key_size = key.size();
+  std::copy(words.begin(), words.end(),
+            keys_.begin() + static_cast<std::ptrdiff_t>((slot->key - 1) * words.size()));
   stores_.fetch_add(1, std::memory_order_relaxed);
 }
 

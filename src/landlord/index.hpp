@@ -20,7 +20,7 @@
 //  * Ordered eviction index: a std::set of EvictionKey ordered by
 //    evict_before (a total order — every policy falls through to
 //    last_used then id), so the global victim is begin() and each
-//    last_used/hits touch is one erase+insert, O(log n).
+//    last_used/hits touch re-keys one node in place, O(log n).
 //
 //  * Spec memo: fingerprint of the request bitset → last hit decision,
 //    epoch-stamped. Any structural mutation (insert/erase/contents
@@ -31,7 +31,9 @@
 //    set, so a fingerprint collision can never alias two specs.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <mutex>
@@ -182,9 +184,21 @@ struct SpecMemoStats {
 /// mutex. An entry is served only when its stored epoch is current AND
 /// its stored key equals the probe set bit for bit, so a memo hit is
 /// exactly the answer a fresh scan would produce.
+///
+/// Storage is flat (docs/decision_index.md): an open-addressed slot
+/// array, linear-probed by fingerprint and never more than half full,
+/// holds each entry's fingerprint, epoch, decision and key size; one
+/// word arena holds the key bits, entry after entry. A probe reads two
+/// contiguous arrays and a warm store allocates nothing. There is one
+/// slot per fingerprint, as in a map keyed by it: a colliding store
+/// overwrites, and lookup compares the full key. Every key shares one
+/// universe (the cache's); a store over another universe clears first.
 class SpecMemo {
  public:
-  explicit SpecMemo(std::size_t capacity = 1024) : capacity_(capacity) {}
+  explicit SpecMemo(std::size_t capacity = 1024)
+      : capacity_(capacity),
+        shift_(64 - static_cast<unsigned>(std::countr_zero(
+                        std::bit_ceil(2 * std::max<std::size_t>(capacity, 1))))) {}
 
   [[nodiscard]] std::uint64_t epoch() const noexcept {
     return epoch_.load(std::memory_order_relaxed);
@@ -244,19 +258,32 @@ class SpecMemo {
     return h;
   }
 
-  struct Entry {
+  struct Slot {
+    std::uint64_t fingerprint = 0;
     std::uint64_t epoch = 0;
-    spec::PackageSet key;  ///< full copy: collisions must not alias
     Decision decision;
+    std::uint64_t key_size = 0;  ///< |key|: a one-compare pre-reject
+    std::uint64_t key = 0;       ///< 1 + the key's block in keys_; 0 = empty
   };
 
+  /// The slot holding `fp`, or the empty slot where it would go. Always
+  /// terminates: at most capacity_ of the ≥ 2·capacity_ slots are used.
+  [[nodiscard]] Slot& probe(std::uint64_t fp) noexcept;
+  [[nodiscard]] bool same_key(const Slot& slot,
+                              const spec::PackageSet& key) const noexcept;
+  void clear() noexcept;
+
   std::size_t capacity_;
+  unsigned shift_;  ///< home slot = fingerprint's top log2(slots) bits
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> stores_{0};
   mutable std::mutex mutex_;
-  std::unordered_map<std::uint64_t, Entry> entries_;
+  std::size_t used_ = 0;       ///< entries since the last clear
+  std::size_t key_bits_ = 0;   ///< universe of every stored key
+  std::vector<Slot> slots_;    ///< allocated at the first store
+  std::vector<std::uint64_t> keys_;  ///< used_ keys, word_count words each
 };
 
 }  // namespace landlord::core

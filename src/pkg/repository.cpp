@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/simd.hpp"
+
 namespace landlord::pkg {
 
 void RepositoryBuilder::add(Declaration declaration) {
@@ -94,11 +96,11 @@ util::Result<Repository> RepositoryBuilder::build() && {
     }
   }
 
-  repo.sizes_.reserve(n);
+  repo.sizes_.assign((n + 63) / 64 * 64, 0);
   repo.total_bytes_ = 0;
-  for (const auto& info : repo.packages_) {
-    repo.sizes_.push_back(info.size);
-    repo.total_bytes_ += info.size;
+  for (std::size_t i = 0; i < n; ++i) {
+    repo.sizes_[i] = repo.packages_[i].size;
+    repo.total_bytes_ += repo.packages_[i].size;
   }
 
   return repo;
@@ -129,9 +131,8 @@ util::DynamicBitset Repository::closure_of(std::span<const PackageId> selection)
 
 util::Bytes Repository::bytes_of(const util::DynamicBitset& set) const {
   assert(set.size() == size());
-  util::Bytes total = 0;
-  set.for_each_set([&](std::size_t i) { total += sizes_[i]; });
-  return total;
+  return util::simd::active_ops().weighted_sum(set.words().data(), sizes_.data(),
+                                               set.word_count());
 }
 
 }  // namespace landlord::pkg

@@ -100,8 +100,9 @@ class Repository {
   Repository() = default;
 
   std::vector<PackageInfo> packages_;
-  /// packages_[i].size, contiguous: bytes_of reads one 8-byte entry per
-  /// set bit instead of striding over whole PackageInfo records.
+  /// packages_[i].size, contiguous and zero-padded to a whole number of
+  /// 64-package words: bytes_of hands it to the weighted-sum kernel,
+  /// which reads one 64-entry block per bitset word.
   std::vector<util::Bytes> sizes_;
   std::unordered_map<std::string, PackageId> by_key_;
   std::vector<util::DynamicBitset> closures_;

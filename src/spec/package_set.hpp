@@ -27,11 +27,13 @@ class PackageSet {
   explicit PackageSet(util::DynamicBitset bits)
       : bits_(std::move(bits)), count_(bits_.count()) {}
 
+  /// The set of `ids` (any order, repeats allowed): one bulk bit set,
+  /// then one popcount, so the size is exact however the ids arrive.
   [[nodiscard]] static PackageSet from_ids(std::size_t universe,
                                            std::span<const pkg::PackageId> ids) {
-    PackageSet set(universe);
-    for (pkg::PackageId id : ids) set.insert(id);
-    return set;
+    util::DynamicBitset bits(universe);
+    bits.set_all(ids);
+    return PackageSet(std::move(bits));
   }
 
   [[nodiscard]] std::size_t universe() const noexcept { return bits_.size(); }

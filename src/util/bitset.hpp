@@ -21,6 +21,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/simd.hpp"
@@ -53,6 +54,24 @@ class DynamicBitset {
   void reset(std::size_t i) noexcept {
     assert(i < bits_);
     words_[i >> 6] &= ~(1ULL << (i & 63));
+  }
+
+  /// Sets the bit of every id in `ids` (any integer or enum type; any
+  /// order, repeats allowed). A per-id set on a sorted list is one
+  /// store-to-load chain through each word; ORing from four interleaved
+  /// quarters of the list keeps four independent chains in flight.
+  template <typename Id>
+  void set_all(std::span<const Id> ids) noexcept {
+    std::uint64_t* const w = words_.data();
+    const Id* const q = ids.data();
+    const std::size_t quarter = ids.size() / 4;
+    for (std::size_t k = 0; k < quarter; ++k) {
+      or_bit(w, q[k]);
+      or_bit(w, q[quarter + k]);
+      or_bit(w, q[2 * quarter + k]);
+      or_bit(w, q[3 * quarter + k]);
+    }
+    for (std::size_t k = 4 * quarter; k < ids.size(); ++k) or_bit(w, q[k]);
   }
 
   void clear() noexcept {
@@ -177,6 +196,13 @@ class DynamicBitset {
   [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept { return words_; }
 
  private:
+  template <typename Id>
+  void or_bit(std::uint64_t* words, Id id) const noexcept {
+    const auto i = static_cast<std::size_t>(id);
+    assert(i < bits_);
+    words[i >> 6] |= 1ULL << (i & 63);
+  }
+
   void check_universe(const char* op, const DynamicBitset& other) const noexcept {
     if (bits_ != other.bits_) [[unlikely]] {
       detail::universe_mismatch(op, bits_, other.bits_);

@@ -61,6 +61,12 @@ struct SetOps {
                                   std::size_t n) noexcept;
   /// |a| — population count of the whole array.
   std::size_t (*popcount)(const std::uint64_t* a, std::size_t n) noexcept;
+  /// Σ weights[i] over every set bit i of a — the requested bytes of a
+  /// package set. `weights` holds 64·n entries (zero-padded past the
+  /// universe); sums wrap modulo 2^64 identically on every backend.
+  std::uint64_t (*weighted_sum)(const std::uint64_t* a,
+                                const std::uint64_t* weights,
+                                std::size_t n) noexcept;
 };
 
 /// The portable 4×-unrolled scalar backend (always available; the

@@ -12,8 +12,10 @@
 // reconciliation after restore.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -506,6 +508,137 @@ TEST(PostingsGrowth, ShardedCacheStaysBoundedBelowCutover) {
     EXPECT_GT(stats.postings_compactions, 0u);
     EXPECT_GT(cache.counters().deletes, 500u);
     EXPECT_EQ(cache.check_decision_index(), std::nullopt);
+  }
+}
+
+// touch() re-keys the eviction node in place (extract + end()-hinted
+// insert). Its oracle is the erase + insert it replaced: after every
+// touch the victim must match, and draining both indexes victim by
+// victim must visit images in the same order — for every policy, and
+// for touches that do (LRU) and do not (hits-first policies) land last.
+TEST(DecisionIndexUnit, TouchMatchesEraseInsertOrderForEveryPolicy) {
+  const std::size_t universe = 70;
+  for (const EvictionPolicy policy :
+       {EvictionPolicy::kLru, EvictionPolicy::kLfu,
+        EvictionPolicy::kLargestFirst, EvictionPolicy::kHitDensity}) {
+    SCOPED_TRACE(to_string(policy));
+    util::Rng rng(static_cast<std::uint64_t>(policy) + 41);
+    DecisionIndex touched(universe, policy);
+    DecisionIndex oracle(universe, policy);
+    DecisionIndex::ImageMap images;
+    std::uint64_t clock = 0;
+    for (std::uint64_t id = 0; id < 40; ++id) {
+      Image image;
+      image.id = ImageId{id};
+      spec::PackageSet contents(universe);
+      contents.insert(pkg::package_id(static_cast<std::uint32_t>(rng.uniform(universe))));
+      image.contents = std::move(contents);
+      image.bytes = 1 + rng.uniform(8);  // few sizes: many ties to break
+      image.hits = rng.uniform(4);
+      image.last_used = ++clock;
+      touched.insert(image);
+      oracle.insert(image);
+      images.emplace(id, std::move(image));
+    }
+    for (int step = 0; step < 400; ++step) {
+      Image& image = images.at(rng.uniform(images.size()));
+      const EvictionKey old_key = eviction_key(image);
+      image.last_used = ++clock;
+      image.hits += 1;
+      touched.touch(old_key, eviction_key(image));
+      oracle.erase(image.contents.bits(), old_key);
+      oracle.insert(image);
+      ASSERT_EQ(touched.victim(clock).value().id, oracle.victim(clock).value().id);
+      ASSERT_EQ(touched.victim(0).value().id, oracle.victim(0).value().id);
+    }
+    EXPECT_EQ(touched.reconcile(images), std::nullopt);
+    while (!images.empty()) {
+      const auto want = oracle.victim(0);
+      ASSERT_TRUE(want.has_value());
+      const auto got = touched.victim(0);
+      ASSERT_TRUE(got.has_value());
+      ASSERT_EQ(got->id, want->id);
+      const Image& image = images.at(want->id);
+      touched.erase(image);
+      oracle.erase(image);
+      images.erase(want->id);
+    }
+    EXPECT_EQ(touched.victim(0), std::nullopt);
+  }
+}
+
+// The flat SpecMemo against a model of the map-backed memo it replaced:
+// one entry per key, served only at its stored epoch; a store at a
+// stale epoch is dropped; a store of a new key into a full table clears
+// it first. Hit/miss/store counts and every answer must match, at a
+// tiny capacity (many clears) and at the stock 1024.
+TEST(SpecMemo, FlatTableMatchesMapSemantics) {
+  struct Model {
+    struct Entry {
+      std::uint64_t epoch;
+      SpecMemo::Decision decision;
+    };
+    std::size_t capacity;
+    std::map<std::vector<std::uint64_t>, Entry> entries;
+    SpecMemoStats stats;
+  };
+  const std::size_t universe = 1500;
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{7}, std::size_t{1024}}) {
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    util::Rng rng(capacity);
+    std::vector<spec::PackageSet> pool;
+    for (std::size_t k = 0; k < capacity + 300; ++k) {
+      spec::PackageSet key(universe);
+      const std::uint64_t n = 1 + rng.uniform(40);
+      for (std::uint64_t j = 0; j < n; ++j) {
+        key.insert(pkg::package_id(static_cast<std::uint32_t>(rng.uniform(universe))));
+      }
+      pool.push_back(std::move(key));
+    }
+    pool.push_back(pool.front());  // an equal key under a second name
+    SpecMemo memo(capacity);
+    Model model{capacity, {}, {}};
+    for (int step = 0; step < 6000; ++step) {
+      const spec::PackageSet& key = pool[rng.uniform(pool.size())];
+      const auto& words = key.bits().words();
+      const std::uint64_t roll = rng.uniform(100);
+      if (roll < 3) {
+        memo.bump();
+        ++model.stats.epoch;
+      } else if (roll < 50) {
+        const std::uint64_t at = roll < 8 && model.stats.epoch > 0
+                                     ? model.stats.epoch - 1
+                                     : model.stats.epoch;
+        const ImageId image{rng.uniform(1000)};
+        const std::size_t shard = rng.uniform(4);
+        memo.store(key, image, shard, at);
+        if (at != model.stats.epoch) continue;
+        const std::vector<std::uint64_t> k(words.begin(), words.end());
+        if (model.entries.size() >= model.capacity && !model.entries.contains(k)) {
+          model.entries.clear();
+        }
+        model.entries[k] = {at, SpecMemo::Decision{image, shard}};
+        ++model.stats.stores;
+      } else {
+        const auto got = memo.lookup(key);
+        const auto it = model.entries.find({words.begin(), words.end()});
+        const bool want = it != model.entries.end() && it->second.epoch == model.stats.epoch;
+        ASSERT_EQ(got.has_value(), want) << "step " << step;
+        if (want) {
+          ++model.stats.hits;
+          EXPECT_EQ(to_value(got->image), to_value(it->second.decision.image));
+          EXPECT_EQ(got->shard, it->second.decision.shard);
+        } else {
+          ++model.stats.misses;
+        }
+      }
+      const SpecMemoStats stats = memo.stats();
+      ASSERT_EQ(stats.hits, model.stats.hits);
+      ASSERT_EQ(stats.misses, model.stats.misses);
+      ASSERT_EQ(stats.stores, model.stats.stores);
+      ASSERT_EQ(stats.epoch, model.stats.epoch);
+    }
+    EXPECT_GT(model.stats.hits, 0u);
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace landlord::spec {
@@ -37,6 +41,53 @@ TEST(PackageSet, FromIds) {
   EXPECT_EQ(s.size(), 2u);
   EXPECT_TRUE(s.contains(package_id(1)));
   EXPECT_TRUE(s.contains(package_id(3)));
+}
+
+/// The per-id oracle the bulk build must match.
+PackageSet insert_each(std::size_t universe, const std::vector<pkg::PackageId>& ids) {
+  PackageSet set(universe);
+  for (const pkg::PackageId id : ids) set.insert(id);
+  return set;
+}
+
+// from_ids (and the wire path's DynamicBitset::set_all over raw u32
+// ids) ORs from four interleaved quarters and counts once, so it must
+// equal per-id insert for every list shape: sorted, unsorted, repeated,
+// shorter than four, touching universe-1, and universes that leave a
+// partial last word.
+TEST(PackageSet, BulkFromIdsMatchesPerIdInsert) {
+  util::Rng rng(29);
+  const std::size_t universes[] = {1, 3, 63, 64, 65, 130, 1500, 9660};
+  for (const std::size_t universe : universes) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t length =
+          trial < 5 ? static_cast<std::size_t>(trial)
+                    : static_cast<std::size_t>(rng.uniform(1, 3 * universe));
+      std::vector<pkg::PackageId> ids;
+      for (std::size_t k = 0; k < length; ++k) {
+        ids.push_back(package_id(static_cast<std::uint32_t>(rng.uniform(universe))));
+      }
+      if (trial % 4 == 1) ids.push_back(package_id(static_cast<std::uint32_t>(universe - 1)));
+      if (trial % 4 == 2) {
+        std::sort(ids.begin(), ids.end());
+      } else if (trial % 4 == 3) {
+        std::sort(ids.begin(), ids.end());
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      }
+      SCOPED_TRACE("universe=" + std::to_string(universe) +
+                   " ids=" + std::to_string(ids.size()));
+      const PackageSet want = insert_each(universe, ids);
+      const PackageSet got = PackageSet::from_ids(universe, ids);
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(got.size(), want.size());
+
+      std::vector<std::uint32_t> raw;
+      for (const pkg::PackageId id : ids) raw.push_back(pkg::to_index(id));
+      util::DynamicBitset bits(universe);
+      bits.set_all(std::span<const std::uint32_t>(raw));
+      EXPECT_EQ(PackageSet(std::move(bits)), want);
+    }
+  }
 }
 
 TEST(PackageSet, MergeIsUnion) {

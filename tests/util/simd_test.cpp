@@ -173,6 +173,43 @@ INSTANTIATE_TEST_SUITE_P(
                                        193, 255, 256, 257, 1000, 9660),
         ::testing::Values(1, 2, 3)));
 
+// ---- weighted_sum: Σ weights over set bits (Repository::bytes_of). ----
+
+class SimdWeightedSumTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SimdWeightedSumTest, EveryBackendMatchesPortable) {
+  const std::size_t bits = GetParam();
+  Rng rng(bits * 104729 + 17);
+  const std::size_t n = (bits + 63) / 64;
+  // Package sizes, zero past the universe as Repository pads them. One
+  // draw in eight is a full 64-bit value, so sums wrap and the backends
+  // must agree modulo 2^64 too.
+  Words weights(64 * n, 0);
+  for (std::size_t i = 0; i < bits; ++i) {
+    weights[i] = rng.chance(0.125) ? rng() : rng() >> 28;
+  }
+  const double densities[] = {0.0, 0.02, 0.12, 0.5, 1.0};
+  for (const double density : densities) {
+    const Words a = random_words(rng, bits, density);
+    std::uint64_t want = 0;
+    for (std::size_t i = 0; i < bits; ++i) {
+      if ((a[i / 64] >> (i % 64)) & 1) want += weights[i];
+    }
+    EXPECT_EQ(portable_ops().weighted_sum(a.data(), weights.data(), n), want)
+        << "bits=" << bits << " density=" << density;
+    for (const Backend& backend : backends()) {
+      EXPECT_EQ(backend.ops->weighted_sum(a.data(), weights.data(), n),
+                portable_ops().weighted_sum(a.data(), weights.data(), n))
+          << backend.label << " bits=" << bits << " density=" << density;
+    }
+  }
+}
+
+// 1/63/64/65 hit the partial-word edges, 1500 is the serve plane's
+// repository, 9660 the paper's package universe.
+INSTANTIATE_TEST_SUITE_P(Universes, SimdWeightedSumTest,
+                         ::testing::Values<std::size_t>(1, 63, 64, 65, 1500, 9660));
+
 TEST(SimdDispatchTest, ActiveBackendIsKnown) {
   const SetOps& active = active_ops();
   const std::string name = active.name;
@@ -204,6 +241,7 @@ TEST(SimdDispatchTest, ZeroWordsIsIdentity) {
     EXPECT_EQ(ops.or_assign_count(nullptr, nullptr, 0), 0u);
     EXPECT_EQ(ops.and_not_assign_count(nullptr, nullptr, 0), 0u);
     EXPECT_EQ(ops.and_assign_count(nullptr, nullptr, 0), 0u);
+    EXPECT_EQ(ops.weighted_sum(nullptr, nullptr, 0), 0u);
   }
 }
 
