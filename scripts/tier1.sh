@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the full test suite, the concurrency suite again
+# Tier-1 verification: the full test suite, a build of the head-node
+# benchmark (headbench/) with its selftest, the concurrency suite again
 # under ThreadSanitizer (catches data races the plain run cannot), the
 # fault/chaos and dispatch-plane suites again under both TSan and
 # ASan+UBSan (catches the races and memory bugs torn snapshots, worker
@@ -33,6 +34,15 @@ echo "== stage 1b: SIMD fallback path — simd/perf suites with LANDLORD_NO_SIMD
 # equivalence oracle with the fallback pinned, so BOTH code paths prove
 # bit-identical placements on every tier-1 run.
 LANDLORD_NO_SIMD=1 ctest --test-dir build -L 'simd|perf' --output-on-failure -j "$JOBS"
+
+echo "== stage 1c: benchmark build + selftest =="
+# headbench/ is its own CMake project over src/ and calls library APIs
+# (Landlord::counters(), the core::Cache alias, ...). Build it from this
+# checkout and run its selftest, so a src/ change that would break the
+# benchmark fails here rather than in the benchmark run.
+cmake -S headbench -B build/headbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build/headbench --target headbench headbench_selftest -j "$JOBS"
+build/headbench/headbench_selftest
 
 echo "== stage 2: ThreadSanitizer build + concurrency-labelled tests =="
 cmake -B build-tsan -S . -DLANDLORD_SANITIZE=thread \

@@ -61,12 +61,10 @@ BatchResult run_batch(const pkg::Repository& repo,
     record.finish_s = record.ready_s + job.run_s;
 
     result.total_prep_s += prep;
-    // The slot is held from start to finish (prep_on_slot) or from
-    // container-ready to finish (head-node staging). Either way the
-    // completion event frees the slot at finish time.
-    busy_slot_seconds +=
-        config.prep_on_slot ? (record.finish_s - record.start_s)
-                            : (record.finish_s - record.ready_s);
+    // Image preparation occupies the job's slot (worker-side staging):
+    // the slot is held from start to finish, when the completion event
+    // frees it.
+    busy_slot_seconds += record.finish_s - record.start_s;
     running.push({record.finish_s, sequence++});
     result.jobs.push_back(record);
   };

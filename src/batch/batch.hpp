@@ -36,11 +36,6 @@ struct BatchConfig {
   std::uint32_t slots = 16;  ///< concurrently running jobs
   core::CacheConfig cache;
   shrinkwrap::BuildTimeModel time_model;
-  /// When true, image preparation occupies the job's slot (worker-side
-  /// staging); when false, preparation is pipelined on the head node and
-  /// only delays the job itself (slot is taken either way once started —
-  /// the difference matters for accounting, not ordering, in this model).
-  bool prep_on_slot = true;
 };
 
 /// Per-job record in completion order.

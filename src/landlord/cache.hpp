@@ -23,6 +23,19 @@
 
 namespace landlord::core {
 
+/// MinHash signature length and LSH band count (used only by
+/// MergePolicy::kMinHashLsh).
+inline constexpr std::size_t kMinHashK = 128;
+inline constexpr std::size_t kLshBands = 32;
+static_assert(kMinHashK % kLshBands == 0,
+              "band count must divide the MinHash signature length");
+/// Lineage entries kept per image for splitting; a merge past this
+/// coalesces the two oldest entries.
+inline constexpr std::uint32_t kMaxLineage = 12;
+/// Write charge for one delta manifest (header + entries, fsync'd
+/// alongside the new chunks) when CacheConfig::delta_chain_cap > 0.
+inline constexpr util::Bytes kDeltaManifestBytes = 64 * util::kKiB;
+
 struct CacheConfig {
   util::Bytes capacity = 1400 * util::kGiB;  ///< byte budget (paper: 1.4 TB)
   double alpha = 0.8;                        ///< merge threshold, in [0, 1]
@@ -32,9 +45,6 @@ struct CacheConfig {
   /// ledger behind one lock, taken only while this is on; leave off for
   /// sweeps and for concurrent serving.
   bool record_time_series = false;
-  /// MinHash/LSH parameters (used only by kMinHashLsh).
-  std::size_t minhash_k = 128;
-  std::size_t lsh_bands = 32;
 
   // ---- Image splitting (extension; §I lists "creates, merges, splits,
   // or deletes" as LANDLORD's repertoire). When a hit ships an image far
@@ -44,7 +54,6 @@ struct CacheConfig {
   // default to match the paper's simulated Algorithm 1.
   bool enable_split = false;
   double split_utilization = 0.25;   ///< requested/image byte ratio trigger
-  std::uint32_t max_lineage = 12;    ///< lineage entries kept per image
 
   /// Idle time-to-live (extension): an image untouched for this many
   /// requests is dropped even when the cache is under budget — "without
@@ -83,9 +92,6 @@ struct CacheConfig {
   /// delta_accounting_test.cpp and tests/sim/delta_oracle_test.cpp hold
   /// both paths to that). 0 keeps full-rewrite accounting.
   std::uint32_t delta_chain_cap = 0;
-  /// Write charge for one delta manifest (header + entries, fsync'd
-  /// alongside the new chunks).
-  util::Bytes delta_manifest_bytes = 64 * util::kKiB;
 
   /// Concurrency (extension): number of shards the image namespace is
   /// partitioned across. 1 (the default) is the sequential case: one map,

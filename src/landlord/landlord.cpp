@@ -74,7 +74,7 @@ void Landlord::set_observability(obs::Observability* observability) {
                      {}, "Modelled image-preparation seconds per placement.");
   hooks_.invariant_violations =
       &reg.counter("landlord_placement_invariant_violations_total", {},
-                   "Placements that failed the placement_violation() check.");
+                   "Placements that failed the decision_violation() check.");
   hooks_.trace = &observability->trace;
 }
 
@@ -236,73 +236,30 @@ JobPlacement Landlord::place(const spec::Specification& spec,
   return placement;
 }
 
-namespace {
-
-/// The rules that need no cache state: a failed placement carries an
-/// error; the uncached sentinel appears only degraded, at the requested
-/// size. Call only for failed or uncached placements.
-std::optional<std::string> uncached_violation(const JobPlacement& placement) {
+std::optional<std::string> decision_violation(const ShardedCache::Outcome& outcome,
+                                              const JobPlacement& placement) {
   if (placement.failed) {
     if (placement.error.empty()) return "failed placement carries no error message";
     return std::nullopt;
   }
-  if (!placement.degraded) {
-    return "uncached-image sentinel on a non-degraded placement";
-  }
-  if (placement.image_bytes != placement.requested_bytes) {
-    return "uncached exact build reports " + std::to_string(placement.image_bytes) +
-           " bytes, expected the requested " +
-           std::to_string(placement.requested_bytes);
-  }
-  return std::nullopt;
-}
-
-std::string degraded_insert_violation(const JobPlacement& placement) {
-  return "degraded insert placement claims resident cache image " +
-         std::to_string(to_value(placement.image)) +
-         " instead of the uncached sentinel";
-}
-
-}  // namespace
-
-std::optional<std::string> placement_violation(const Landlord& landlord,
-                                               const JobPlacement& placement) {
-  if (placement.failed || is_uncached(placement.image)) {
-    return uncached_violation(placement);
-  }
-  const auto image = landlord.find(placement.image);
-  if (!image.has_value()) {
-    if (placement.degraded) return std::nullopt;  // served from disk, since gone
-    return "placement reports image " + std::to_string(to_value(placement.image)) +
-           " which is not resident in the cache";
-  }
-  if (placement.degraded) {
-    // A resident image on a degraded placement is only legal on rung 3,
-    // where the (shrunk) remainder keeps the unsplit image's id; its
-    // cached size then legitimately differs from the on-disk copy served.
-    if (placement.kind == RequestKind::kInsert) {
-      return degraded_insert_violation(placement);
+  if (is_uncached(placement.image)) {
+    if (!placement.degraded) {
+      return "uncached-image sentinel on a non-degraded placement";
+    }
+    if (placement.image_bytes != placement.requested_bytes) {
+      return "uncached exact build reports " + std::to_string(placement.image_bytes) +
+             " bytes, expected the requested " +
+             std::to_string(placement.requested_bytes);
     }
     return std::nullopt;
-  }
-  if (image->bytes != placement.image_bytes) {
-    return "placement reports " + std::to_string(placement.image_bytes) +
-           " bytes for image " + std::to_string(to_value(placement.image)) +
-           " but the cache holds " + std::to_string(image->bytes);
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> decision_violation(const ShardedCache::Outcome& outcome,
-                                              const JobPlacement& placement) {
-  if (placement.failed || is_uncached(placement.image)) {
-    return uncached_violation(placement);
   }
   if (placement.degraded) {
     // Only rung 3 serves a cached id degraded: the unsplit image the
     // split was carved from, at its pre-split size.
     if (placement.kind == RequestKind::kInsert) {
-      return degraded_insert_violation(placement);
+      return "degraded insert placement claims resident cache image " +
+             std::to_string(to_value(placement.image)) +
+             " instead of the uncached sentinel";
     }
     if (!outcome.split || placement.image != outcome.split_from ||
         placement.image_bytes != outcome.split_from_bytes) {

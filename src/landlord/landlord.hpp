@@ -130,19 +130,10 @@ class Landlord {
   }
   [[nodiscard]] const pkg::Repository& repository() const noexcept { return *repo_; }
 
-  /// Decision-layer reads.
+  /// Decision-layer reads; everything else goes through cache().
   [[nodiscard]] CacheCounters counters() const { return cache_->counters(); }
-  [[nodiscard]] std::size_t image_count() const { return cache_->image_count(); }
   [[nodiscard]] util::Bytes total_bytes() const { return cache_->total_bytes(); }
   [[nodiscard]] util::Bytes unique_bytes() const { return cache_->unique_bytes(); }
-  [[nodiscard]] std::optional<Image> find(ImageId id) const { return cache_->find(id); }
-  /// Reconciles the decision index (postings refcounts, postings
-  /// contents, eviction order) against a from-scratch rebuild. nullopt
-  /// when consistent or CacheConfig::decision_index is off; the chaos
-  /// suites call this after every crash/restore cycle.
-  [[nodiscard]] std::optional<std::string> check_decision_index() const {
-    return cache_->check_decision_index();
-  }
 
   /// Total modelled seconds spent preparing images so far (builds plus
   /// backoff waits).
@@ -224,28 +215,20 @@ class Landlord {
   Hooks hooks_;
 };
 
-/// Placement-field invariants every submit() result must satisfy:
+/// Placement-field invariants every submit() result must satisfy,
+/// checked against the Outcome the decision layer returned (read under
+/// the decision's lock, so a racing eviction cannot raise a false alarm):
 ///   * a failed placement carries an error message;
 ///   * the uncached sentinel appears only on degraded placements and
 ///     reports exactly the requested bytes (rung 2 builds the request);
-///   * a non-degraded placement's image id resolves in the cache and its
-///     reported size matches the cached image;
-///   * a degraded kInsert placement never claims a resident cache image
-///     (the rung-2 fallback, by construction, bypassed the cache).
-/// A degraded id that no longer resolves is legal — the unsplit image a
-/// rung-3 fallback served may since have been fully consumed or evicted;
-/// the worker's on-disk copy is what matters.
-/// Returns a description of the violation, or nullopt when sound. Used
-/// by the chaos/fault test suites after sequential submits; a racing
-/// eviction can make find() miss a sound placement's image, so
-/// concurrent callers check with decision_violation() instead.
-[[nodiscard]] std::optional<std::string> placement_violation(
-    const Landlord& landlord, const JobPlacement& placement);
-
-/// The same invariants, checked against the Outcome the decision layer
-/// returned (read under the decision's lock) instead of a later find():
-/// race-free, so Landlord::submit runs it on every placement at any
-/// shard count when observability is attached.
+///   * a degraded placement that names a cached id is rung 3: the
+///     unsplit image its split was carved from, at its pre-split size
+///     (a degraded kInsert never claims a cached image);
+///   * any other placement reports the decided image, kind and size.
+/// Returns a description of the violation, or nullopt when sound.
+/// Landlord::submit runs it on every placement when observability is
+/// attached and counts failures in
+/// landlord_placement_invariant_violations_total.
 [[nodiscard]] std::optional<std::string> decision_violation(
     const ShardedCache::Outcome& outcome, const JobPlacement& placement);
 

@@ -74,11 +74,10 @@ std::string record_lines(const Image& image, std::size_t ordinal,
   return std::move(lines).str();
 }
 
-/// Writes the shared snapshot body from a pre-collected image list.
+/// Writes the snapshot body from a pre-collected image list.
 void write_snapshot(std::ostream& out, std::vector<Image> images,
-                    const pkg::Repository& repo, util::Bytes total_bytes,
-                    SnapshotFormat format) {
-  out << (format == SnapshotFormat::kV2 ? kMagicV2 : kMagicV1) << '\n';
+                    const pkg::Repository& repo, util::Bytes total_bytes) {
+  out << kMagicV2 << '\n';
   out << "# " << images.size() << " images, " << total_bytes << " bytes\n";
   // Stable order: by LRU stamp, so restore reproduces recency.
   std::sort(images.begin(), images.end(), [](const Image& a, const Image& b) {
@@ -89,16 +88,11 @@ void write_snapshot(std::ostream& out, std::vector<Image> images,
   std::size_t ordinal = 0;
   for (const auto& image : images) {
     const std::string lines = record_lines(image, ordinal, repo);
-    out << lines;
-    if (format == SnapshotFormat::kV2) {
-      out << "check " << ordinal << ' ' << to_hex(util::fnv1a64(lines)) << '\n';
-      chain = util::fnv1a64(lines, chain);
-    }
+    out << lines << "check " << ordinal << ' ' << to_hex(util::fnv1a64(lines)) << '\n';
+    chain = util::fnv1a64(lines, chain);
     ++ordinal;
   }
-  if (format == SnapshotFormat::kV2) {
-    out << "end " << images.size() << ' ' << to_hex(chain) << '\n';
-  }
+  out << "end " << images.size() << ' ' << to_hex(chain) << '\n';
 }
 
 /// Everything a restore learns from parsing: the adoptable prefix, the
@@ -351,8 +345,21 @@ Parsed parse_snapshot(std::istream& in, const pkg::Repository& repo) {
 }  // namespace
 
 void save_cache(std::ostream& out, const ShardedCache& cache,
-                const pkg::Repository& repo, SnapshotFormat format) {
-  write_snapshot(out, cache.snapshot_images(), repo, cache.total_bytes(), format);
+                const pkg::Repository& repo) {
+  write_snapshot(out, cache.snapshot_images(), repo, cache.total_bytes());
+}
+
+Checkpoint checkpoint(const ShardedCache& cache, const pkg::Repository& repo,
+                      fault::FaultInjector* faults) {
+  std::ostringstream out;
+  save_cache(out, cache, repo);
+  Checkpoint written{std::move(out).str()};
+  if (faults != nullptr && faults->should_fail(fault::FaultOp::kSnapshotWrite)) {
+    const auto tears = faults->injected(fault::FaultOp::kSnapshotWrite);  // >= 1
+    written.text.resize(written.text.size() * ((tears - 1) % 3 + 1) / 4);
+    written.torn = true;
+  }
+  return written;
 }
 
 util::Result<std::unique_ptr<ShardedCache>> restore_cache(
@@ -374,27 +381,12 @@ util::Result<std::unique_ptr<ShardedCache>> restore_cache(
 }
 
 bool save_cache_file(const std::string& path, const ShardedCache& cache,
-                     const pkg::Repository& repo, SnapshotFormat format,
-                     fault::FaultInjector* faults) {
-  if (faults != nullptr && faults->should_fail(fault::FaultOp::kSnapshotWrite)) {
-    // Torn write: the crash happened mid-flush. A deterministic prefix
-    // lands on disk — cut at 25/50/75% by injection count, so replays
-    // exercise different tear points — and the caller learns the
-    // checkpoint failed. v2 restores recover the checked prefix.
-    std::ostringstream full;
-    save_cache(full, cache, repo, format);
-    const std::string text = std::move(full).str();
-    const auto tears =
-        faults->injected(fault::FaultOp::kSnapshotWrite);  // >= 1 here
-    const std::size_t keep = text.size() * ((tears - 1) % 3 + 1) / 4;
-    std::ofstream out(path, std::ios::trunc);
-    if (out) out.write(text.data(), static_cast<std::streamsize>(keep));
-    return false;
-  }
-  std::ofstream out(path);
+                     const pkg::Repository& repo, fault::FaultInjector* faults) {
+  const Checkpoint written = checkpoint(cache, repo, faults);
+  std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  save_cache(out, cache, repo, format);
-  return static_cast<bool>(out);
+  out.write(written.text.data(), static_cast<std::streamsize>(written.text.size()));
+  return !written.torn && static_cast<bool>(out);
 }
 
 util::Result<std::unique_ptr<ShardedCache>> restore_cache_file(

@@ -8,10 +8,12 @@
 // cache. Image *contents* are not stored (they live in the image files
 // themselves); a restore re-admits images without charging write I/O.
 //
-// Two on-disk formats (full grammar in docs/formats.md):
+// Two on-disk formats (full grammar in docs/formats.md). Writers emit
+// v2 only; v1 stays readable.
 //
-//   landlord-cache v1 — the original plain format. Strict restore: any
-//   malformed line or unknown package key fails the whole restore.
+//   landlord-cache v1 — the original plain format, read-only. Strict
+//   restore: any malformed line or unknown package key fails the whole
+//   restore.
 //
 //   landlord-cache v2 — checksummed records. Every image record (its
 //   `image` line plus attached `constraint` lines) is followed by a
@@ -35,12 +37,6 @@
 
 namespace landlord::core {
 
-/// Snapshot wire format. v1 stays the default writer so existing
-/// deployments (and byte-for-byte snapshot comparisons against older
-/// builds) are undisturbed; v2 is opt-in for crash-safe stores. Either
-/// restores through the same entry points (auto-detected by magic).
-enum class SnapshotFormat : std::uint8_t { kV1, kV2 };
-
 /// What a restore managed to salvage. `clean()` means the snapshot was
 /// intact; otherwise `error` pinpoints the first bad record ("line N:
 /// ...") and the counts say how much of the tail was lost.
@@ -55,13 +51,28 @@ struct RestoreReport {
   [[nodiscard]] bool clean() const noexcept { return !truncated && !corrupted; }
 };
 
-/// Writes a snapshot of every cached image. Takes every shard lock
+/// Writes a v2 snapshot of every cached image. Takes every shard lock
 /// (ShardedCache::snapshot_images), so the snapshot is one consistent
 /// point-in-time state even while other threads keep submitting. A
 /// snapshot restores into a cache of any shard count.
 void save_cache(std::ostream& out, const ShardedCache& cache,
-                const pkg::Repository& repo,
-                SnapshotFormat format = SnapshotFormat::kV1);
+                const pkg::Repository& repo);
+
+/// What one checkpoint put on disk.
+struct Checkpoint {
+  std::string text;   ///< the snapshot, or the prefix a torn write left
+  bool torn = false;  ///< a kSnapshotWrite fault cut the write short
+};
+
+/// The one tear path: serialises a snapshot and, when `faults`
+/// (optional) fails the kSnapshotWrite op, keeps only a deterministic
+/// prefix — cut at 25/50/75% by injection count, so replays exercise
+/// different tear points — modelling a crash mid-flush. v2 restores
+/// recover the checked prefix. save_cache_file and
+/// sim::run_crash_replay both checkpoint through this.
+[[nodiscard]] Checkpoint checkpoint(const ShardedCache& cache,
+                                    const pkg::Repository& repo,
+                                    fault::FaultInjector* faults = nullptr);
 
 /// Restores a snapshot into a new cache with `config`, homing each image
 /// onto its band-signature shard. Images are re-admitted verbatim (ids
@@ -79,13 +90,12 @@ void save_cache(std::ostream& out, const ShardedCache& cache,
     RestoreReport* report = nullptr);
 
 /// File convenience wrappers. `faults` (optional) injects snapshot I/O
-/// failures: a kSnapshotWrite fault tears the file — a deterministic
-/// prefix is written and false is returned, modelling a crash mid-write;
-/// a kSnapshotRead fault fails the open, modelling unreadable storage.
+/// failures: a kSnapshotWrite fault tears the file through checkpoint()
+/// — the torn prefix is written and false is returned; a kSnapshotRead
+/// fault fails the open, modelling unreadable storage.
 [[nodiscard]] bool save_cache_file(const std::string& path,
                                    const ShardedCache& cache,
                                    const pkg::Repository& repo,
-                                   SnapshotFormat format = SnapshotFormat::kV1,
                                    fault::FaultInjector* faults = nullptr);
 [[nodiscard]] util::Result<std::unique_ptr<ShardedCache>> restore_cache_file(
     const std::string& path, const pkg::Repository& repo, CacheConfig config,

@@ -13,12 +13,10 @@ ShardedCache::ShardedCache(const pkg::Repository& repo, CacheConfig config)
     : repo_(&repo),
       config_(config),
       shards_(std::max<std::uint32_t>(1, config.shards)),
-      hasher_(config.minhash_k) {
+      hasher_(kMinHashK) {
   assert(config_.alpha >= 0.0 && config_.alpha <= 1.0);
-  assert(config_.lsh_bands > 0 && config_.minhash_k % config_.lsh_bands == 0 &&
-         "band count must divide the MinHash signature length");
   for (Shard& shard : shards_) {
-    shard.lsh = spec::LshIndex(config_.lsh_bands);
+    shard.lsh = spec::LshIndex(kLshBands);
     if (config_.decision_index) {
       shard.dindex.emplace(repo.size(), config_.eviction);
     }
@@ -146,8 +144,7 @@ std::size_t ShardedCache::home_of(const spec::PackageSet& contents) const {
   // Only band 0 of the signature feeds the homing hash, so sign just
   // those k/bands rows — ~30x cheaper than a full signature and
   // bit-identical to hashing the full signature's band 0.
-  const auto prefix =
-      hasher_.sign_prefix(contents, hasher_.k() / config_.lsh_bands);
+  const auto prefix = hasher_.sign_prefix(contents, kMinHashK / kLshBands);
   return static_cast<std::size_t>(spec::band_signature_hash(prefix, 1) %
                                   shards_.size());
 }
@@ -417,7 +414,7 @@ ShardedCache::Outcome ShardedCache::serve(const spec::Specification& spec,
       image.last_used = now;
       ++image.merge_count;
       ++image.version;
-      if (image.lineage.size() >= config_.max_lineage) {
+      if (image.lineage.size() >= kMaxLineage) {
         // Coalesce the two oldest entries to bound lineage growth.
         image.lineage[0].merge(image.lineage[1]);
         image.lineage.erase(image.lineage.begin() + 1);
@@ -458,7 +455,7 @@ ShardedCache::Outcome ShardedCache::serve(const spec::Specification& spec,
       } else {
         // Merging unions contents, so the image can only have grown.
         const util::Bytes charge =
-            (image.bytes - pre_merge_bytes) + config_.delta_manifest_bytes;
+            (image.bytes - pre_merge_bytes) + kDeltaManifestBytes;
         counters_.written_bytes.fetch_add(charge, std::memory_order_relaxed);
         counters_.delta_written_bytes.fetch_add(charge,
                                                 std::memory_order_relaxed);

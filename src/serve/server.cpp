@@ -591,7 +591,7 @@ StatsReply Server::stats_snapshot() const {
   stats.conflict_rejections = counters.conflict_rejections;
   stats.requested_bytes = counters.requested_bytes;
   stats.written_bytes = counters.written_bytes;
-  stats.image_count = landlord_->image_count();
+  stats.image_count = landlord_->cache().image_count();
   stats.total_bytes = landlord_->total_bytes();
   stats.unique_bytes = landlord_->unique_bytes();
   stats.container_efficiency_sum = counters.container_efficiency_sum;

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <string>
 
+#include "landlord/persist.hpp"
+
 namespace landlord::sim {
 
 namespace {
@@ -29,24 +31,6 @@ void accumulate(core::CacheCounters& into, const core::CacheCounters& from) {
   into.delta_written_bytes += from.delta_written_bytes;
   into.repack_written_bytes += from.repack_written_bytes;
   into.full_rewrite_bytes += from.full_rewrite_bytes;
-}
-
-/// Serialises a checkpoint to the in-memory "disk", tearing it when the
-/// injector fails the write — same deterministic 25/50/75% tear points
-/// as core::save_cache_file.
-bool write_checkpoint(std::string& disk, const core::Landlord& landlord,
-                      const pkg::Repository& repo, core::SnapshotFormat format,
-                      fault::FaultInjector& injector) {
-  std::ostringstream out;
-  core::save_cache(out, landlord.cache(), repo, format);
-  std::string text = std::move(out).str();
-  if (injector.should_fail(fault::FaultOp::kSnapshotWrite)) {
-    const auto tears = injector.injected(fault::FaultOp::kSnapshotWrite);
-    disk = text.substr(0, text.size() * ((tears - 1) % 3 + 1) / 4);
-    return false;
-  }
-  disk = std::move(text);
-  return true;
 }
 
 }  // namespace
@@ -88,13 +72,10 @@ CrashReplayResult run_crash_replay(const pkg::Repository& repo,
 
   // The checkpoint "disk" starts with an empty-cache snapshot, so a
   // crash before the first checkpoint restores to a cold cache rather
-  // than failing the restore.
-  std::string disk;
-  {
-    std::ostringstream out;
-    core::save_cache(out, landlord.cache(), repo, config.crash.format);
-    disk = std::move(out).str();
-  }
+  // than failing the restore. A checkpoint too mangled to parse cold
+  // restarts from the same text.
+  const std::string cold = core::checkpoint(landlord.cache(), repo).text;
+  std::string disk = cold;
 
   for (const std::uint32_t index : stream) {
     const auto placement = landlord.submit(specs[index]);
@@ -106,8 +87,9 @@ CrashReplayResult run_crash_replay(const pkg::Repository& repo,
     if (config.crash.checkpoint_every != 0 &&
         result.requests % config.crash.checkpoint_every == 0) {
       ++result.checkpoints;
-      const bool ok =
-          write_checkpoint(disk, landlord, repo, config.crash.format, injector);
+      core::Checkpoint written = core::checkpoint(landlord.cache(), repo, &injector);
+      disk = std::move(written.text);
+      const bool ok = !written.torn;
       if (!ok) ++result.torn_checkpoints;
       if (ok && checkpoints_ok != nullptr) checkpoints_ok->inc();
       if (!ok && checkpoints_torn != nullptr) checkpoints_torn->inc();
@@ -140,17 +122,14 @@ CrashReplayResult run_crash_replay(const pkg::Repository& repo,
       } else {
         // Checkpoint too mangled to even parse a header: cold restart.
         // Everything the dead cache held is lost.
-        std::ostringstream empty;
-        core::save_cache(empty, core::ShardedCache(repo, config.cache), repo,
-                         config.crash.format);
-        std::istringstream cold(empty.str());
-        (void)landlord.restore(cold, nullptr);
+        std::istringstream empty(cold);
+        (void)landlord.restore(empty, nullptr);
         result.records_lost += report.records_lost;
       }
       // Every restore rebuilds the sublinear decision index from the
       // adopted images; reconcile it against a from-scratch rebuild so a
       // crash can never leave stale postings or a skewed eviction order.
-      if (auto divergence = landlord.check_decision_index()) {
+      if (auto divergence = landlord.cache().check_decision_index()) {
         ++result.index_divergences;
         if (result.first_index_divergence.empty()) {
           result.first_index_divergence = std::move(*divergence);
@@ -161,7 +140,7 @@ CrashReplayResult run_crash_replay(const pkg::Repository& repo,
 
   accumulate(result.counters, landlord.counters());
   result.degraded = landlord.degraded();
-  result.final_image_count = landlord.image_count();
+  result.final_image_count = landlord.cache().image_count();
   result.final_total_bytes = landlord.total_bytes();
   result.final_unique_bytes = landlord.unique_bytes();
   return result;

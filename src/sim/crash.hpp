@@ -5,10 +5,11 @@
 // checkpoint and keeps serving ("persistent image stores", §II/§V).
 // This driver simulates that lifecycle deterministically: replay a
 // workload through a core::Landlord, snapshot every `checkpoint_every`
-// requests (optionally torn by an injected kSnapshotWrite fault), kill
-// and restore every `crash_every` requests, and keep going. Because the
-// workload, the fault schedule, and the tear points are all seeded, two
-// runs with the same config produce identical counters — the property
+// requests through core::checkpoint (torn, like save_cache_file, by an
+// injected kSnapshotWrite fault), kill and restore every `crash_every`
+// requests, and keep going. Because the workload, the fault schedule,
+// and the tear points are all seeded, two runs with the same config
+// produce identical counters — the property
 // tests/integration/crash_recovery_test.cpp leans on.
 #pragma once
 
@@ -17,7 +18,6 @@
 
 #include "fault/fault.hpp"
 #include "landlord/landlord.hpp"
-#include "landlord/persist.hpp"
 #include "sim/workload.hpp"
 
 namespace landlord::sim {
@@ -26,7 +26,6 @@ namespace landlord::sim {
 struct CrashPlan {
   std::uint64_t checkpoint_every = 64;  ///< requests between snapshots (0 = never)
   std::uint64_t crash_every = 0;        ///< requests between kill+restore (0 = never)
-  core::SnapshotFormat format = core::SnapshotFormat::kV2;
 };
 
 struct CrashReplayConfig {
@@ -65,7 +64,7 @@ struct CrashReplayResult {
   double total_prep_seconds = 0.0;
 
   /// Restores after which the decision index failed to reconcile against
-  /// a from-scratch rebuild (core::Landlord::check_decision_index).
+  /// a from-scratch rebuild (core::ShardedCache::check_decision_index).
   /// Always 0: the restore path rebuilds postings/eviction order from
   /// the adopted images, and the chaos suites assert on it.
   std::uint64_t index_divergences = 0;

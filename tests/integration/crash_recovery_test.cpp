@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "landlord/persist.hpp"
+#include "obs/obs.hpp"
 #include "pkg/synthetic.hpp"
 #include "sim/driver.hpp"
 
@@ -123,6 +126,58 @@ TEST(CrashReplay, TornCheckpointsRecoverPrefixOnly) {
   EXPECT_LT(result.images_recovered, lossless.images_recovered);
 }
 
+TEST(CrashReplay, CheckpointsTearAtTheSameByteAsSaveCacheFile) {
+  // run_crash_replay and save_cache_file share one tear path: for
+  // injection counts 1-6 both cut the same snapshot at the same byte,
+  // 25/50/75% of its length by count.
+  constexpr std::uint64_t kEvery = 20;
+  constexpr std::size_t kTears = 6;
+  auto config = base_config();
+  config.crash.checkpoint_every = kEvery;
+  config.faults.fail(fault::FaultOp::kSnapshotWrite, 1.0);  // every write torn
+  config.faults.seed = 5;
+  obs::Observability obs(1 << 16);
+  config.obs = &obs;
+  const auto result = sim::run_crash_replay(repo(), config);
+  ASSERT_GE(result.torn_checkpoints, kTears);
+  std::vector<std::uint64_t> replay_bytes;
+  for (const auto& event : obs.trace.snapshot()) {
+    if (event.kind == obs::EventKind::kCheckpoint) replay_bytes.push_back(event.bytes);
+  }
+  ASSERT_GE(replay_bytes.size(), kTears);
+
+  // The same decisions (run_crash_replay derives its request stream as
+  // run_simulation does), each checkpoint saved to a file through an
+  // injector running the same plan.
+  util::Rng root(config.seed);
+  sim::WorkloadGenerator generator(repo(), config.workload, root.split(1));
+  const auto specs = generator.unique_specifications();
+  core::Landlord landlord(repo(), config.cache);
+  fault::FaultInjector injector(config.faults);
+  const auto path = testing::TempDir() + "landlord_tear_parity.txt";
+  std::uint64_t requests = 0;
+  std::size_t tears = 0;
+  for (const std::uint32_t index : generator.request_stream()) {
+    if (tears == kTears) break;
+    (void)landlord.submit(specs[index]);
+    if (++requests % kEvery != 0) continue;
+    SCOPED_TRACE(tears + 1);
+    std::ostringstream full;
+    core::save_cache(full, landlord.cache(), repo());
+    const std::string whole = std::move(full).str();
+    EXPECT_FALSE(core::save_cache_file(path, landlord.cache(), repo(), &injector));
+    std::ifstream in(path);
+    std::stringstream file;
+    file << in.rdbuf();
+    const std::string torn = std::move(file).str();
+    EXPECT_EQ(torn.size(), whole.size() * (tears % 3 + 1) / 4);
+    EXPECT_EQ(torn, whole.substr(0, torn.size()));
+    EXPECT_EQ(torn.size(), replay_bytes[tears]);
+    ++tears;
+  }
+  EXPECT_EQ(tears, kTears);
+}
+
 TEST(CrashReplay, SameConfigReplaysBitIdentically) {
   auto config = base_config(4);  // sharded decision layer
   config.crash.checkpoint_every = 15;
@@ -152,18 +207,6 @@ TEST(CrashReplay, SameConfigReplaysBitIdentically) {
   EXPECT_GT(first.degraded.build_failures, 0u);
 }
 
-TEST(CrashReplay, V1CheckpointsWorkWhenNeverTorn) {
-  auto config = base_config();
-  config.crash.format = core::SnapshotFormat::kV1;
-  config.crash.checkpoint_every = 20;
-  config.crash.crash_every = 45;
-
-  const auto result = sim::run_crash_replay(repo(), config);
-  EXPECT_GT(result.crashes, 0u);
-  EXPECT_GT(result.images_recovered, 0u);
-  EXPECT_EQ(result.records_lost, 0u);
-}
-
 // ---- File-based snapshot I/O under injected faults -------------------
 
 TEST(SnapshotFiles, TornWriteRecoversPrefixOnRead) {
@@ -183,10 +226,8 @@ TEST(SnapshotFiles, TornWriteRecoversPrefixOnRead) {
   plan.at(fault::FaultOp::kSnapshotWrite, 1);  // second write torn
   fault::FaultInjector injector(plan);
 
-  ASSERT_TRUE(core::save_cache_file(path, cache, repo(),
-                                    core::SnapshotFormat::kV2, &injector));
-  EXPECT_FALSE(core::save_cache_file(path, cache, repo(),
-                                     core::SnapshotFormat::kV2, &injector));
+  ASSERT_TRUE(core::save_cache_file(path, cache, repo(), &injector));
+  EXPECT_FALSE(core::save_cache_file(path, cache, repo(), &injector));
 
   core::RestoreReport report;
   auto restored = core::restore_cache_file(path, repo(), config, &report);
@@ -234,12 +275,12 @@ TEST(LandlordRestore, RoundTripsThroughSnapshotStream) {
                                         pkg::package_id(base + 1)};
     (void)landlord.submit(spec::Specification::from_request(repo(), request));
   }
-  const auto images_before = landlord.image_count();
+  const auto images_before = landlord.cache().image_count();
   const auto bytes_before = landlord.total_bytes();
   ASSERT_GT(images_before, 0u);
 
   std::ostringstream out;
-  core::save_cache(out, landlord.cache(), repo(), core::SnapshotFormat::kV2);
+  core::save_cache(out, landlord.cache(), repo());
 
   core::Landlord fresh(repo(), config);
   std::istringstream in(out.str());
@@ -248,7 +289,7 @@ TEST(LandlordRestore, RoundTripsThroughSnapshotStream) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored.value(), images_before);
   EXPECT_TRUE(report.clean());
-  EXPECT_EQ(fresh.image_count(), images_before);
+  EXPECT_EQ(fresh.cache().image_count(), images_before);
   EXPECT_EQ(fresh.total_bytes(), bytes_before);
   EXPECT_EQ(fresh.degraded().recovered_images, images_before);
 }

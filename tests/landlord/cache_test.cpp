@@ -322,7 +322,6 @@ TEST(Cache, MinHashPolicyAgreesWithExactOnClearCases) {
   const auto repo = flat_repo(200);
   auto cfg = config(0.9);
   cfg.policy = MergePolicy::kMinHashLsh;
-  cfg.lsh_bands = 32;
   ShardedCache cache(repo, cfg);
   // Nearly identical specs (63/64 overlap): LSH must surface the
   // candidate and merge.

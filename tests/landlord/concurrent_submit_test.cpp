@@ -105,7 +105,7 @@ TEST(ConcurrentSubmit, FourThreadsOneShardConserveAccounting) {
         // Another thread can evict the image between submit and find;
         // when it is still resident it must satisfy the spec (without
         // splits an id's contents only grow, and ids are never reused).
-        if (const auto image = landlord.find(placement.image)) {
+        if (const auto image = landlord.cache().find(placement.image)) {
           ++resident;
           if (!spec.satisfied_by(image->contents)) ++resident_unsatisfying;
         }
@@ -138,14 +138,14 @@ TEST(ConcurrentSubmit, FourThreadsOneShardConserveAccounting) {
   EXPECT_EQ(sum, landlord.total_bytes());
   EXPECT_LE(landlord.total_bytes(), cfg.capacity);
   EXPECT_LE(landlord.unique_bytes(), landlord.total_bytes());
-  EXPECT_EQ(landlord.check_decision_index(), std::nullopt);
+  EXPECT_EQ(landlord.cache().check_decision_index(), std::nullopt);
 
   // Quiesced: the final state round-trips exactly.
   std::stringstream final_snapshot;
   save_cache(final_snapshot, landlord.cache(), repo());
   auto restored = restore_cache(final_snapshot, repo(), cfg);
   ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored.value()->image_count(), landlord.image_count());
+  EXPECT_EQ(restored.value()->image_count(), landlord.cache().image_count());
   EXPECT_EQ(restored.value()->total_bytes(), landlord.total_bytes());
 }
 

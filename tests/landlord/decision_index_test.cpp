@@ -131,8 +131,8 @@ void run_index_oracle(CacheConfig config, std::uint64_t seed,
 
   // Persisted snapshots must be byte-identical with the knob on or off.
   std::ostringstream ss, si;
-  save_cache(ss, scan, repo, SnapshotFormat::kV2);
-  save_cache(si, indexed, repo, SnapshotFormat::kV2);
+  save_cache(ss, scan, repo);
+  save_cache(si, indexed, repo);
   EXPECT_EQ(ss.str(), si.str());
 }
 
@@ -342,7 +342,7 @@ TEST(DecisionIndexOracle, RestoredCacheReconcilesAndMatchesScan) {
   }
 
   std::ostringstream out;
-  save_cache(out, original, repo, SnapshotFormat::kV2);
+  save_cache(out, original, repo);
   std::istringstream in_indexed(out.str()), in_scan(out.str());
 
   auto indexed = restore_cache(in_indexed, repo, config);

@@ -15,6 +15,7 @@
 
 #include "landlord/landlord.hpp"
 #include "landlord/persist.hpp"
+#include "obs/obs.hpp"
 #include "pkg/synthetic.hpp"
 #include "sim/workload.hpp"
 
@@ -189,7 +190,7 @@ TEST(ZeroFault, WiredPathsBitIdenticalToUnwired) {
   EXPECT_EQ(degraded.retries, 0u);
   EXPECT_EQ(degraded.error_placements, 0u);
 
-  // Snapshots are bit-identical too (v1 is the default writer).
+  // Snapshots are bit-identical too.
   std::ostringstream snap_a, snap_b;
   core::save_cache(snap_a, plain.cache(), repo());
   core::save_cache(snap_b, wired.cache(), repo());
@@ -211,23 +212,35 @@ void expect_invariants(const core::Landlord& landlord) {
   };
   landlord.cache().for_each_image(visit);
   EXPECT_EQ(summed, landlord.total_bytes());
-  EXPECT_EQ(count, landlord.image_count());
+  EXPECT_EQ(count, landlord.cache().image_count());
   EXPECT_LE(landlord.unique_bytes(), landlord.total_bytes());
   // The sublinear decision index (postings refcounts, postings contents,
   // eviction order) must reconcile against a from-scratch rebuild after
   // every chaos mutation — nullopt means consistent (or knob off).
-  EXPECT_EQ(landlord.check_decision_index(), std::nullopt);
+  EXPECT_EQ(landlord.cache().check_decision_index(), std::nullopt);
 }
 
-/// Placement-field invariants (core::placement_violation) checked after
-/// every submit in the chaos loops. This is what used to catch fire: a
-/// rung-2 fallback claiming the merged *cached* image it never built,
-/// and a rung-3 fallback reporting the split part instead of the
-/// unsplit image it actually served.
-void expect_sound_placement(const core::Landlord& landlord,
-                            const core::JobPlacement& placement) {
-  const auto violation = core::placement_violation(landlord, placement);
-  EXPECT_FALSE(violation.has_value()) << *violation;
+/// Placements that failed submit()'s own placement self-check
+/// (core::decision_violation), which runs on every submit while
+/// observability is attached. This is what used to catch fire: a rung-2
+/// fallback claiming the merged *cached* image it never built, and a
+/// rung-3 fallback reporting the split part instead of the unsplit image
+/// it actually served.
+std::uint64_t invariant_violations(obs::Observability& obs) {
+  return obs.registry.counter("landlord_placement_invariant_violations_total")
+      .value();
+}
+
+/// The residency-and-size rule, checked after every sequential submit:
+/// a placement served without degrading names a resident image at its
+/// cached size.
+void expect_resident(const core::Landlord& landlord,
+                     const core::JobPlacement& placement) {
+  if (placement.failed || placement.degraded) return;
+  const auto image = landlord.cache().find(placement.image);
+  ASSERT_TRUE(image.has_value())
+      << "placement image " << core::to_value(placement.image) << " is not resident";
+  EXPECT_EQ(image->bytes, placement.image_bytes);
 }
 
 struct ChaosOutcome {
@@ -255,6 +268,8 @@ ChaosOutcome run_chaos(std::uint32_t shards, std::uint64_t fault_seed,
   fault::BackoffPolicy backoff;
   backoff.max_retries = 1;
   landlord.set_backoff_policy(backoff);
+  obs::Observability obs;
+  if (check_invariants) landlord.set_observability(&obs);
 
   ChaosOutcome outcome;
   for (const auto& spec : stream) {
@@ -266,9 +281,10 @@ ChaosOutcome run_chaos(std::uint32_t shards, std::uint64_t fault_seed,
       expect_invariants(landlord);
       // Single-threaded replay: the placement cannot be invalidated by a
       // racing eviction, so the check is exact for any shard count.
-      expect_sound_placement(landlord, placement);
+      expect_resident(landlord, placement);
     }
   }
+  EXPECT_EQ(invariant_violations(obs), 0u);
   outcome.counters = landlord.counters();
   outcome.degraded = landlord.degraded();
   return outcome;
@@ -348,6 +364,8 @@ TEST(Degradation, FailedMergeRewriteFallsBackToExactInsert) {
   fault::BackoffPolicy backoff;
   backoff.max_retries = 1;
   landlord.set_backoff_policy(backoff);
+  obs::Observability obs;
+  landlord.set_observability(&obs);
 
   (void)landlord.submit(spec_for({500, 501, 502}));
   const auto merged = landlord.submit(spec_for({500, 501, 503}));
@@ -364,7 +382,7 @@ TEST(Degradation, FailedMergeRewriteFallsBackToExactInsert) {
   // cache, reported via the uncached sentinel.
   EXPECT_TRUE(core::is_uncached(merged.image));
   EXPECT_EQ(core::to_value(merged.image), core::to_value(core::kUncachedImage));
-  expect_sound_placement(landlord, merged);
+  EXPECT_EQ(invariant_violations(obs), 0u);
 }
 
 TEST(Degradation, FailedSplitRebuildServesUnsplitImage) {
@@ -380,6 +398,8 @@ TEST(Degradation, FailedSplitRebuildServesUnsplitImage) {
   fault::BackoffPolicy backoff;
   backoff.max_retries = 0;
   landlord.set_backoff_policy(backoff);
+  obs::Observability obs;
+  landlord.set_observability(&obs);
 
   const auto small = spec_for({500});
   (void)landlord.submit(small);
@@ -398,7 +418,7 @@ TEST(Degradation, FailedSplitRebuildServesUnsplitImage) {
   EXPECT_EQ(core::to_value(placement.image), core::to_value(bloated.image));
   EXPECT_EQ(placement.image_bytes, bloated.image_bytes);
   EXPECT_GT(placement.image_bytes, placement.requested_bytes);
-  expect_sound_placement(landlord, placement);
+  EXPECT_EQ(invariant_violations(obs), 0u);
 }
 
 TEST(Degradation, ExhaustionSurfacesErrorPlacement) {
@@ -412,6 +432,8 @@ TEST(Degradation, ExhaustionSurfacesErrorPlacement) {
   fault::BackoffPolicy backoff;
   backoff.max_retries = 2;
   landlord.set_backoff_policy(backoff);
+  obs::Observability obs;
+  landlord.set_observability(&obs);
 
   const auto placement = landlord.submit(spec_for({500, 501}));
   EXPECT_TRUE(placement.failed);
@@ -419,7 +441,7 @@ TEST(Degradation, ExhaustionSurfacesErrorPlacement) {
   EXPECT_EQ(placement.build_retries, 2u);
   EXPECT_GT(placement.prep_seconds, 0.0);  // backoff waits still charged
   EXPECT_EQ(landlord.degraded().error_placements, 1u);
-  expect_sound_placement(landlord, placement);
+  EXPECT_EQ(invariant_violations(obs), 0u);
 
   // The decision layer stays structurally consistent even though the
   // materialisation failed.
@@ -466,7 +488,7 @@ TEST(Toctou, ConcurrentEvictionStillBuildsDecidedContents) {
   EXPECT_FALSE(placement.failed);
   EXPECT_FALSE(placement.degraded);
   // The decided image really was evicted before its build ran ...
-  EXPECT_FALSE(landlord.find(placement.image).has_value());
+  EXPECT_FALSE(landlord.cache().find(placement.image).has_value());
   // ... and the build was still charged, for exactly the contents the
   // decision named (request() copied them under its lock).
   shrinkwrap::ImageBuilder reference(repo());

@@ -75,7 +75,7 @@ TEST_P(FeatureMatrixTest, InvariantsHoldEndToEnd) {
       for (const auto& entry : img.lineage) {
         EXPECT_TRUE(entry.is_subset_of(img.contents));
       }
-      EXPECT_LE(img.lineage.size(), config.max_lineage + 1);
+      EXPECT_LE(img.lineage.size(), kMaxLineage + 1);
     });
     EXPECT_EQ(sum, cache.total_bytes());
     EXPECT_EQ(count, cache.image_count());

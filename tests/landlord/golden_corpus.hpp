@@ -170,7 +170,7 @@ std::string digests(CacheT& cache) {
   counters.add(c.container_efficiency_sum);
 
   std::ostringstream snapshot_text;
-  save_cache(snapshot_text, cache, repo(), SnapshotFormat::kV2);
+  save_cache(snapshot_text, cache, repo());
   Digest snapshot;
   snapshot.add(std::string_view(snapshot_text.str()));
 

@@ -97,6 +97,30 @@ TEST(Landlord, PlacementImageSatisfiesSpec) {
   EXPECT_TRUE(spec.satisfied_by(image->contents));
 }
 
+TEST(Landlord, PlacementNamesAResidentImageAtItsCachedSize) {
+  // The residency-and-size rule: with one submitting thread, a placement
+  // served without degrading names an image that is resident in the
+  // cache at exactly the size the placement reports — across inserts,
+  // merges, hits and evictions.
+  auto config = cache_config(0.9);
+  config.capacity = repo().total_bytes() / 8;  // force evictions
+  Landlord landlord(repo(), config);
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    const std::uint32_t a = (i * 37) % 50 * 11;
+    const auto placement = landlord.submit(spec_for({a, a + 1, (a + i % 3) % 600}));
+    ASSERT_FALSE(placement.failed || placement.degraded) << i;
+    const auto image = landlord.cache().find(placement.image);
+    ASSERT_TRUE(image.has_value()) << "request " << i << ": image "
+                                   << to_value(placement.image) << " not resident";
+    EXPECT_EQ(image->bytes, placement.image_bytes) << "request " << i;
+  }
+  const auto counters = landlord.counters();
+  EXPECT_GT(counters.hits, 0u);
+  EXPECT_GT(counters.merges, 0u);
+  EXPECT_GT(counters.inserts, 0u);
+  EXPECT_GT(counters.deletes, 0u);
+}
+
 TEST(Landlord, RequestedBytesNeverExceedImageBytes) {
   Landlord landlord(repo(), cache_config(0.9));
   for (std::uint32_t i = 0; i < 20; ++i) {

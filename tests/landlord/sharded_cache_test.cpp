@@ -184,7 +184,7 @@ void run_oracle(CacheConfig config, std::uint32_t shards, std::uint64_t seed,
   // with the knob on or off.
   const auto snapshot_of = [&repo](const auto& cache) {
     std::ostringstream out;
-    save_cache(out, cache, repo, SnapshotFormat::kV2);
+    save_cache(out, cache, repo);
     return out.str();
   };
   const std::string reference = snapshot_of(seq_scan);

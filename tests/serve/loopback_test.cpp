@@ -128,7 +128,7 @@ TEST(ServeLoopback, SingleSubmitsMatchInProcessOracle) {
   EXPECT_GT(kinds[0] + kinds[1] + kinds[2], 0u);
 
   expect_counters_equal(served.counters(), oracle.counters());
-  EXPECT_EQ(served.image_count(), oracle.image_count());
+  EXPECT_EQ(served.cache().image_count(), oracle.cache().image_count());
   client.close();
   server.stop();
 }
@@ -203,7 +203,7 @@ TEST(ServeLoopback, WireStatsMatchOracleCounters) {
   EXPECT_EQ(stats.value().conflict_rejections, want.conflict_rejections);
   EXPECT_EQ(stats.value().requested_bytes, want.requested_bytes);
   EXPECT_EQ(stats.value().written_bytes, want.written_bytes);
-  EXPECT_EQ(stats.value().image_count, oracle.image_count());
+  EXPECT_EQ(stats.value().image_count, oracle.cache().image_count());
   EXPECT_EQ(stats.value().container_efficiency_sum,
             want.container_efficiency_sum);
 

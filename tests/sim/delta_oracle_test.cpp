@@ -124,7 +124,7 @@ TEST(DeltaOracle, PlacementsBitIdenticalAcrossAlphaPolicyAndDepth) {
           expect_identical_decisions(full.submit(spec), delta.submit(spec), i);
         }
         expect_identical_counters(full.counters(), delta.counters());
-        EXPECT_EQ(full.image_count(), delta.image_count());
+        EXPECT_EQ(full.cache().image_count(), delta.cache().image_count());
         EXPECT_EQ(full.total_bytes(), delta.total_bytes());
         EXPECT_EQ(full.unique_bytes(), delta.unique_bytes());
       }
@@ -161,7 +161,7 @@ TEST(DeltaOracle, BuilderStoreTracksResidentImagesAndReconciles) {
   // Evictions fire the listener, so the store holds at most the resident
   // set (images served purely as hits since the store last saw them may
   // have no chain; never the other way around).
-  EXPECT_LE(store.image_count(), landlord.image_count());
+  EXPECT_LE(store.image_count(), landlord.cache().image_count());
   EXPECT_GT(store.image_count(), 0u);
   EXPECT_EQ(store.reconcile(), std::nullopt);
   EXPECT_GT(store.stats().delta_writes, 0u);
@@ -209,8 +209,7 @@ TEST(DeltaOracle, RestoreClearsTheStoreAndKeepsReconciling) {
     (void)landlord.submit(workload.specs[workload.stream[i]]);
   }
   std::ostringstream snapshot;
-  core::save_cache(snapshot, landlord.cache(), repo(),
-                   core::SnapshotFormat::kV2);
+  core::save_cache(snapshot, landlord.cache(), repo());
   std::istringstream in(snapshot.str());
   ASSERT_TRUE(landlord.restore(in).ok());
   // Restore clears the chains (decision ids restart; stale chains must
@@ -221,7 +220,7 @@ TEST(DeltaOracle, RestoreClearsTheStoreAndKeepsReconciling) {
   }
   EXPECT_EQ(landlord.builder().image_store().reconcile(), std::nullopt);
   EXPECT_LE(landlord.builder().image_store().image_count(),
-            landlord.image_count());
+            landlord.cache().image_count());
 }
 
 }  // namespace

@@ -371,6 +371,10 @@ TEST(HeadNodeInvariants, HoldUnderWorkerAndBuilderChurn) {
 
   core::Landlord landlord(repo(), cache_config());
   landlord.set_fault_injector(&injector);
+  // Attached observability turns on submit()'s placement self-check
+  // (core::decision_violation), which must never fire.
+  obs::Observability obs;
+  landlord.set_observability(&obs);
   sim::WorkerPoolConfig pool_config;
   pool_config.workers = 3;
   pool_config.scratch_per_worker = repo().total_bytes() / 8;
@@ -383,14 +387,21 @@ TEST(HeadNodeInvariants, HoldUnderWorkerAndBuilderChurn) {
     const auto placement = landlord.submit(load.specs[index]);
     // Acceptance (b): no head-node invariant bends, no matter what the
     // dispatch plane below is doing.
-    const auto violation = core::placement_violation(landlord, placement);
-    EXPECT_EQ(violation, std::nullopt) << *violation;
-    const auto divergence = landlord.check_decision_index();
+    const auto divergence = landlord.cache().check_decision_index();
     EXPECT_EQ(divergence, std::nullopt) << *divergence;
     if (placement.failed) continue;
-    const auto image = landlord.find(placement.image);
+    const auto image = landlord.cache().find(placement.image);
+    // One submitting thread: a placement served without degrading names
+    // a resident image at its cached size.
+    if (!placement.degraded) {
+      ASSERT_TRUE(image.has_value()) << core::to_value(placement.image);
+      EXPECT_EQ(image->bytes, placement.image_bytes);
+    }
     if (image.has_value()) (void)pool.dispatch(*image);
   }
+  EXPECT_EQ(obs.registry.counter("landlord_placement_invariant_violations_total")
+                .value(),
+            0u);
   expect_all_jobs_complete(pool);
   EXPECT_GT(injector.total_injected(), 0u);
   EXPECT_GT(pool.dispatch_counters().worker_crashes, 0u);
