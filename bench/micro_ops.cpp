@@ -15,6 +15,7 @@
 
 #include "landlord/sharded.hpp"
 #include "pkg/synthetic.hpp"
+#include "serve/id_list_memo.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/protocol.hpp"
 #include "shrinkwrap/builder.hpp"
@@ -502,6 +503,46 @@ void BM_ToSpecification(benchmark::State& state) {
   count_frame(state);
 }
 BENCHMARK(BM_ToSpecification)->Unit(benchmark::kMicrosecond);
+
+/// The server's decode of one frame: decode_submit_frame straight into
+/// Specifications through the id-list memo (docs/serve.md). Arg 0 is
+/// repeat-heavy: the same frame every time, so every list is a memo hit.
+/// Arg 1 is all-distinct: eight frames of 256 lists each, every list
+/// unique, cycled through one memo that holds 1024, so every list
+/// misses and pays the check, the build and the insert.
+void BM_ServeDecode(benchmark::State& state) {
+  const std::size_t universe = build_repo().size();
+  std::vector<std::string> wires;
+  if (state.range(0) == 0) {
+    wires.push_back(serve::encode_batch_submit(1, frame_specs()));
+  } else {
+    for (std::size_t variant = 0; variant < 8; ++variant) {
+      std::vector<serve::SubmitRequest> specs = frame_specs();
+      for (auto& spec : specs) {
+        // Drop the variant-th id, so each variant's lists differ.
+        if (spec.packages.size() > variant) {
+          spec.packages.erase(spec.packages.begin() +
+                              static_cast<std::ptrdiff_t>(variant));
+        }
+      }
+      wires.push_back(serve::encode_batch_submit(variant, specs));
+    }
+  }
+  serve::IdListMemo memo(0x5eed);
+  std::size_t next = 0;
+  double hits = 0;
+  double specs = 0;
+  for (auto _ : state) {
+    const auto frame = serve::decode_submit_frame(wires[next], universe, memo);
+    benchmark::DoNotOptimize(frame.value.specs.data());
+    hits += static_cast<double>(frame.value.memo_hits);
+    specs += static_cast<double>(frame.value.specs.size());
+    next = (next + 1) % wires.size();
+  }
+  count_frame(state, wires.front().size());
+  state.counters["hit_share"] = specs > 0 ? hits / specs : 0.0;
+}
+BENCHMARK(BM_ServeDecode)->ArgName("distinct")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /// Requested bytes of each frame spec, one Repository::bytes_of per spec.
 void BM_SpecBytes(benchmark::State& state) {

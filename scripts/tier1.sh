@@ -116,9 +116,11 @@ ctest --test-dir build-asan -L 'perf|simd' --output-on-failure -j "$JOBS"
 LANDLORD_NO_SIMD=1 ctest --test-dir build-asan -L simd --output-on-failure -j "$JOBS"
 cmake --build build --target micro_ops fig5_single_run -j "$JOBS"
 # Smoke-run the hit-path micro-benchmarks (submit codec, spec rebuild,
-# requested-bytes sum, memo hit) so they keep building and running.
+# the server's memo-resolved decode on repeats and on all-distinct
+# lists, requested-bytes sum, memo hit) so they keep building and
+# running, and the id-list memo's miss cost stays a printed number.
 build/bench/micro_ops \
-  --benchmark_filter='EncodeBatchSubmit|DecodeBatchSubmit|ToSpecification|SpecBytes|MemoHit' \
+  --benchmark_filter='EncodeBatchSubmit|DecodeBatchSubmit|ToSpecification|ServeDecode|SpecBytes|MemoHit' \
   --benchmark_min_time=0.05
 scripts/bench_decision.sh build
 

@@ -302,6 +302,42 @@ char* encode_error_at(char* out, std::uint64_t request_id,
 [[nodiscard]] Decoded<Frame> decode_frame(std::string_view bytes,
                                           std::size_t universe);
 
+// ---- Server-side submit decoding ----
+
+class IdListMemo;
+
+/// One decoded submit in the form the decision layer takes.
+struct SubmitSpec {
+  std::uint64_t client_id = 0;
+  spec::Specification spec;
+};
+
+/// A kSubmit / kBatchSubmit frame decoded for the decision layer: the
+/// server's form of Frame, with each id list already a package set.
+struct SubmitFrame {
+  FrameHeader header;
+  std::uint64_t session_id = 0;  ///< v2 prefix; zero on v1 frames
+  std::uint32_t deadline_ms = 0;
+  std::vector<SubmitSpec> specs;
+  /// Specs whose id list the memo resolved / had to check and build.
+  std::size_t memo_hits = 0;
+  std::size_t memo_misses = 0;
+};
+
+/// Decodes a submit frame the way decode_frame does, with the same walk
+/// and the same status for every malformed input, but resolves each id
+/// list through `memo`: a list whose bytes the memo has validated under
+/// `universe` is copied out as its stored set, with no id vector, order
+/// or range pass, or bit setting; any other list is checked as
+/// decode_frame checks it, built, and stored once the frame decodes.
+/// `universe` is the server's repository size; unlike decode_frame, 0
+/// does not skip the range check but admits no id at all. Frames of
+/// other types draw kUnexpectedType once their header and length check
+/// out.
+[[nodiscard]] Decoded<SubmitFrame> decode_submit_frame(std::string_view bytes,
+                                                       std::size_t universe,
+                                                       IdListMemo& memo);
+
 // ---- Bridges to the core types ----
 
 /// Flattens a specification for the wire.

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "serve/buffer.hpp"
+#include "util/rng.hpp"
 
 namespace landlord::serve {
 
@@ -22,12 +23,27 @@ namespace {
 /// read to land in one call.
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
+/// Hash seed for a server's id-list memo: the clock and the server's
+/// address through SplitMix64, so no two servers share one.
+std::uint64_t memo_seed(const void* server) {
+  std::uint64_t state =
+      static_cast<std::uint64_t>(
+          std::chrono::steady_clock::now().time_since_epoch().count()) ^
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(server));
+  return util::splitmix64(state);
+}
+
+bool is_submit(FrameType type) {
+  return type == FrameType::kSubmit || type == FrameType::kBatchSubmit;
+}
+
 }  // namespace
 
 Server::Server(core::Landlord& landlord, ServerConfig config)
     : landlord_(&landlord),
       config_(std::move(config)),
-      dedup_(config_.dedup_window) {
+      dedup_(config_.dedup_window),
+      memo_(memo_seed(this)) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.max_queue == 0) config_.max_queue = 1;
   if (const char* env = std::getenv("LANDLORD_SERVE_PIPELINE_DEPTH")) {
@@ -157,19 +173,40 @@ void Server::reader_loop(Connection* connection) {
       }
       const std::size_t total = kHeaderSize + header.value.payload_size;
       if (buffered.size() < total) break;  // frame still arriving
-      Decoded<Frame> frame = decode_frame(buffered.substr(0, total), universe);
+      const std::string_view wire = buffered.substr(0, total);
+      // Frame boundaries are intact (the header told us the length), so
+      // a malformed payload only poisons its own frame, not the stream.
+      const auto refuse = [&](DecodeStatus status) {
+        bump(tallies_.decode_errors, hooks_.decode_errors);
+        send_reply(connection, kStatusFrameWireSize, [&](char* out) {
+          return encode_error_at(out, header.value.request_id, status);
+        });
+      };
+      if (is_submit(header.value.type)) {
+        // Decoded (and memo-resolved) before consume(): the memo keys on
+        // the bytes in place.
+        Decoded<SubmitFrame> frame = decode_submit_frame(wire, universe, memo_);
+        rx.consume(total);
+        bump(tallies_.frames_in, hooks_.frames_in);
+        if (!frame.ok()) {
+          refuse(frame.status);
+          continue;
+        }
+        bump(tallies_.spec_memo_hits, hooks_.spec_memo_hits,
+             frame.value.memo_hits);
+        bump(tallies_.spec_memo_misses, hooks_.spec_memo_misses,
+             frame.value.memo_misses);
+        handle_submit(connection, std::move(frame.value));
+        continue;
+      }
+      const Decoded<Frame> frame = decode_frame(wire, universe);
       rx.consume(total);
       bump(tallies_.frames_in, hooks_.frames_in);
       if (!frame.ok()) {
-        // Frame boundaries are intact (the header told us the length), so
-        // a malformed payload only poisons this frame, not the stream.
-        bump(tallies_.decode_errors, hooks_.decode_errors);
-        send_reply(connection, kStatusFrameWireSize, [&](char* out) {
-          return encode_error_at(out, header.value.request_id, frame.status);
-        });
+        refuse(frame.status);
         continue;
       }
-      alive = handle_frame(connection, std::move(frame.value));
+      alive = handle_frame(connection, frame.value);
     }
     if (!alive) break;
     // Bulk receive: enough for the rest of a known pending frame, and
@@ -220,7 +257,7 @@ void Server::reader_loop(Connection* connection) {
   connection->done.store(true, std::memory_order_release);
 }
 
-bool Server::handle_frame(Connection* connection, Frame frame) {
+bool Server::handle_frame(Connection* connection, const Frame& frame) {
   const std::uint64_t request_id = frame.header.request_id;
   switch (frame.header.type) {
     case FrameType::kPing:
@@ -237,140 +274,6 @@ bool Server::handle_frame(Connection* connection, Frame frame) {
       });
       return true;
     }
-    case FrameType::kSubmit:
-    case FrameType::kBatchSubmit: {
-      const std::size_t specs = frame.submits.size();
-      // Idempotent retry (v2): claim the (session_id, request_id)
-      // identity before admission. A duplicate of a finished original is
-      // answered from the window — the specs are never placed twice; a
-      // duplicate racing an in-flight original parks until it resolves
-      // (bounded: the owner always completes or aborts).
-      const DedupWindow::Key dedup_key{frame.session_id, request_id};
-      bool dedup_claimed = false;
-      if (config_.dedup_window > 0 && frame.session_id != 0) {
-        FrameType reply_type = FrameType::kPlacement;
-        std::vector<PlacementReply> window_replies;
-        for (;;) {
-          const DedupWindow::Claim claim =
-              dedup_.claim(dedup_key, &reply_type, &window_replies);
-          if (claim == DedupWindow::Claim::kNew) {
-            dedup_claimed = true;
-            break;
-          }
-          if (claim == DedupWindow::Claim::kInFlight &&
-              !dedup_.wait(dedup_key, &reply_type, &window_replies)) {
-            continue;  // the original was rejected; this retry re-attempts
-          }
-          bump(tallies_.dedup_hits, hooks_.dedup_hits);
-          if (hooks_.trace != nullptr) {
-            hooks_.trace->record({.kind = obs::EventKind::kServeDedup,
-                                  .aux = window_replies.size(),
-                                  .detail = "hit"});
-          }
-          reply_from_window(connection, request_id, reply_type,
-                            window_replies);
-          return true;
-        }
-      }
-      // Deadline budget (v2): stamped against the server clock at
-      // arrival, so queueing time counts against it.
-      std::optional<std::chrono::steady_clock::time_point> expiry;
-      if (frame.deadline_ms > 0) {
-        expiry = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(frame.deadline_ms);
-      }
-      // Per-connection pipelining: park this reader (read-side
-      // backpressure via TCP flow control) until the connection has room
-      // for `specs` more in-flight specs. Never rejects.
-      acquire_pipeline(connection, specs);
-      // Admission control: reserve the slots first, then check the drain
-      // flag, so drain() can never observe an empty queue while a reader
-      // is between "admitted" and "handed to the pool".
-      outstanding_frames_.fetch_add(1);
-      const std::size_t prev = outstanding_specs_.fetch_add(specs);
-      const std::size_t depth = prev + specs;
-      if (draining_.load(std::memory_order_acquire)) {
-        release_slots(specs);
-        release_pipeline(connection, specs);
-        if (dedup_claimed) dedup_.abort(dedup_key);
-        bump(tallies_.rejected_draining, hooks_.rejected_draining);
-        bump(tallies_.rejected_requests, hooks_.rejected_requests, specs);
-        if (hooks_.trace != nullptr) {
-          hooks_.trace->record({.kind = obs::EventKind::kServeOverload,
-                                .aux = specs,
-                                .detail = "draining"});
-        }
-        send_reply(connection, kStatusFrameWireSize, [&](char* out) {
-          return encode_rejected_at(out, request_id, RejectReason::kDraining);
-        });
-        return true;
-      }
-      // Spec-granular shed: a batch frame costs its spec count, so batch
-      // and single-spec clients hit the same ceiling. `prev == 0` admits
-      // an oversize batch alone instead of starving it forever.
-      if (specs > 0 && depth > config_.max_queue && prev != 0) {
-        release_slots(specs);
-        release_pipeline(connection, specs);
-        if (dedup_claimed) dedup_.abort(dedup_key);
-        bump(tallies_.rejected_queue_full, hooks_.rejected_queue_full);
-        bump(tallies_.rejected_requests, hooks_.rejected_requests, specs);
-        if (hooks_.trace != nullptr) {
-          hooks_.trace->record({.kind = obs::EventKind::kServeOverload,
-                                .aux = specs,
-                                .detail = "queue-full"});
-        }
-        send_reply(connection, kStatusFrameWireSize, [&](char* out) {
-          return encode_rejected_at(out, request_id, RejectReason::kQueueFull);
-        });
-        return true;
-      }
-      // Admitted. The peak tally and both gauges are published from the
-      // same accounting: the peak only ever rises (max_to), and the depth
-      // gauge moves by the exact deltas the atomics move by, so a stale
-      // snapshot can never overwrite a newer value.
-      std::uint64_t peak =
-          tallies_.queue_depth_peak.load(std::memory_order_relaxed);
-      while (depth > peak &&
-             !tallies_.queue_depth_peak.compare_exchange_weak(
-                 peak, depth, std::memory_order_relaxed)) {
-      }
-      if (hooks_.queue_depth_peak != nullptr) {
-        hooks_.queue_depth_peak->max_to(static_cast<double>(depth));
-      }
-      if (hooks_.queue_depth != nullptr) {
-        hooks_.queue_depth->add(static_cast<double>(specs));
-      }
-      bump(tallies_.frames_admitted, hooks_.frames_admitted);
-      bump(tallies_.specs_admitted, hooks_.specs_admitted, specs);
-      if (frame.header.type == FrameType::kBatchSubmit) {
-        bump(tallies_.batches, hooks_.batches);
-      }
-      if (hooks_.batch_size != nullptr) {
-        hooks_.batch_size->observe(static_cast<double>(specs));
-      }
-      connection->inflight.fetch_add(1, std::memory_order_acq_rel);
-      auto task = [this, connection, expiry, dedup_claimed,
-                   moved = std::move(frame)]() mutable {
-        process_submit(connection, moved, expiry, dedup_claimed);
-        const std::size_t n = moved.submits.size();
-        // The slots are released only after the reply is on the
-        // connection's write queue, so drain() returning means every
-        // admitted frame was answered (the queue's writer flushes it
-        // before going idle).
-        release_slots(n);
-        if (hooks_.queue_depth != nullptr) {
-          hooks_.queue_depth->add(-static_cast<double>(n));
-        }
-        release_pipeline(connection, n);
-        // Last touch of `connection` in this task: after this, a reaped
-        // reader's connection may be freed.
-        connection->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      };
-      // The future is intentionally dropped: completion is tracked by
-      // outstanding_frames_, and the task cannot throw.
-      (void)pool_->submit(std::move(task));
-      return true;
-    }
     default:
       // Well-formed frame of a type only servers send (placement, pong,
       // stats-reply, ...): a confused peer. Tell it and hang up.
@@ -382,32 +285,165 @@ bool Server::handle_frame(Connection* connection, Frame frame) {
   }
 }
 
+void Server::handle_submit(Connection* connection, SubmitFrame frame) {
+  const std::uint64_t request_id = frame.header.request_id;
+  const std::size_t specs = frame.specs.size();
+  // Idempotent retry (v2): claim the (session_id, request_id)
+  // identity before admission. A duplicate of a finished original is
+  // answered from the window — the specs are never placed twice; a
+  // duplicate racing an in-flight original parks until it resolves
+  // (bounded: the owner always completes or aborts).
+  const DedupWindow::Key dedup_key{frame.session_id, request_id};
+  bool dedup_claimed = false;
+  if (config_.dedup_window > 0 && frame.session_id != 0) {
+    FrameType reply_type = FrameType::kPlacement;
+    std::vector<PlacementReply> window_replies;
+    for (;;) {
+      const DedupWindow::Claim claim =
+          dedup_.claim(dedup_key, &reply_type, &window_replies);
+      if (claim == DedupWindow::Claim::kNew) {
+        dedup_claimed = true;
+        break;
+      }
+      if (claim == DedupWindow::Claim::kInFlight &&
+          !dedup_.wait(dedup_key, &reply_type, &window_replies)) {
+        continue;  // the original was rejected; this retry re-attempts
+      }
+      bump(tallies_.dedup_hits, hooks_.dedup_hits);
+      if (hooks_.trace != nullptr) {
+        hooks_.trace->record({.kind = obs::EventKind::kServeDedup,
+                              .aux = window_replies.size(),
+                              .detail = "hit"});
+      }
+      reply_from_window(connection, request_id, reply_type,
+                        window_replies);
+      return;
+    }
+  }
+  // Deadline budget (v2): stamped against the server clock at
+  // arrival, so queueing time counts against it.
+  std::optional<std::chrono::steady_clock::time_point> expiry;
+  if (frame.deadline_ms > 0) {
+    expiry = std::chrono::steady_clock::now() +
+             std::chrono::milliseconds(frame.deadline_ms);
+  }
+  // Per-connection pipelining: park this reader (read-side
+  // backpressure via TCP flow control) until the connection has room
+  // for `specs` more in-flight specs. Never rejects.
+  acquire_pipeline(connection, specs);
+  // Admission control: reserve the slots first, then check the drain
+  // flag, so drain() can never observe an empty queue while a reader
+  // is between "admitted" and "handed to the pool".
+  outstanding_frames_.fetch_add(1);
+  const std::size_t prev = outstanding_specs_.fetch_add(specs);
+  const std::size_t depth = prev + specs;
+  if (draining_.load(std::memory_order_acquire)) {
+    release_slots(specs);
+    release_pipeline(connection, specs);
+    if (dedup_claimed) dedup_.abort(dedup_key);
+    bump(tallies_.rejected_draining, hooks_.rejected_draining);
+    bump(tallies_.rejected_requests, hooks_.rejected_requests, specs);
+    if (hooks_.trace != nullptr) {
+      hooks_.trace->record({.kind = obs::EventKind::kServeOverload,
+                            .aux = specs,
+                            .detail = "draining"});
+    }
+    send_reply(connection, kStatusFrameWireSize, [&](char* out) {
+      return encode_rejected_at(out, request_id, RejectReason::kDraining);
+    });
+    return;
+  }
+  // Spec-granular shed: a batch frame costs its spec count, so batch
+  // and single-spec clients hit the same ceiling. `prev == 0` admits
+  // an oversize batch alone instead of starving it forever.
+  if (specs > 0 && depth > config_.max_queue && prev != 0) {
+    release_slots(specs);
+    release_pipeline(connection, specs);
+    if (dedup_claimed) dedup_.abort(dedup_key);
+    bump(tallies_.rejected_queue_full, hooks_.rejected_queue_full);
+    bump(tallies_.rejected_requests, hooks_.rejected_requests, specs);
+    if (hooks_.trace != nullptr) {
+      hooks_.trace->record({.kind = obs::EventKind::kServeOverload,
+                            .aux = specs,
+                            .detail = "queue-full"});
+    }
+    send_reply(connection, kStatusFrameWireSize, [&](char* out) {
+      return encode_rejected_at(out, request_id, RejectReason::kQueueFull);
+    });
+    return;
+  }
+  // Admitted. The peak tally and both gauges are published from the
+  // same accounting: the peak only ever rises (max_to), and the depth
+  // gauge moves by the exact deltas the atomics move by, so a stale
+  // snapshot can never overwrite a newer value.
+  std::uint64_t peak =
+      tallies_.queue_depth_peak.load(std::memory_order_relaxed);
+  while (depth > peak &&
+         !tallies_.queue_depth_peak.compare_exchange_weak(
+             peak, depth, std::memory_order_relaxed)) {
+  }
+  if (hooks_.queue_depth_peak != nullptr) {
+    hooks_.queue_depth_peak->max_to(static_cast<double>(depth));
+  }
+  if (hooks_.queue_depth != nullptr) {
+    hooks_.queue_depth->add(static_cast<double>(specs));
+  }
+  bump(tallies_.frames_admitted, hooks_.frames_admitted);
+  bump(tallies_.specs_admitted, hooks_.specs_admitted, specs);
+  if (frame.header.type == FrameType::kBatchSubmit) {
+    bump(tallies_.batches, hooks_.batches);
+  }
+  if (hooks_.batch_size != nullptr) {
+    hooks_.batch_size->observe(static_cast<double>(specs));
+  }
+  connection->inflight.fetch_add(1, std::memory_order_acq_rel);
+  auto task = [this, connection, expiry, dedup_claimed,
+               moved = std::move(frame)]() mutable {
+    process_submit(connection, moved, expiry, dedup_claimed);
+    const std::size_t n = moved.specs.size();
+    // The slots are released only after the reply is on the
+    // connection's write queue, so drain() returning means every
+    // admitted frame was answered (the queue's writer flushes it
+    // before going idle).
+    release_slots(n);
+    if (hooks_.queue_depth != nullptr) {
+      hooks_.queue_depth->add(-static_cast<double>(n));
+    }
+    release_pipeline(connection, n);
+    // Last touch of `connection` in this task: after this, a reaped
+    // reader's connection may be freed.
+    connection->inflight.fetch_sub(1, std::memory_order_acq_rel);
+  };
+  // The future is intentionally dropped: completion is tracked by
+  // outstanding_frames_, and the task cannot throw.
+  (void)pool_->submit(std::move(task));
+  return;
+}
+
 void Server::process_submit(
-    Connection* connection, const Frame& frame,
+    Connection* connection, const SubmitFrame& frame,
     std::optional<std::chrono::steady_clock::time_point> expiry,
     bool dedup_claimed) {
   if (process_hook_) process_hook_();
-  const std::size_t universe = landlord_->repository().size();
   const auto started = std::chrono::steady_clock::now();
 
   std::vector<PlacementReply> replies;
-  replies.reserve(frame.submits.size());
+  replies.reserve(frame.specs.size());
   std::size_t shed = 0;
-  for (const SubmitRequest& request : frame.submits) {
+  for (const SubmitSpec& submit : frame.specs) {
     // Deadline-aware execution: a spec whose budget ran out while it
     // queued gets a failed reply instead of a placement the client has
     // already given up on — the decision layer never sees it.
     if (expiry && std::chrono::steady_clock::now() > *expiry) {
       PlacementReply expired;
-      expired.client_id = request.client_id;
+      expired.client_id = submit.client_id;
       expired.failed = true;
       expired.error = "deadline-expired";
       replies.push_back(std::move(expired));
       ++shed;
       continue;
     }
-    spec::Specification spec = to_specification(request, universe);
-    const core::JobPlacement placement = landlord_->submit(spec);
+    const core::JobPlacement placement = landlord_->submit(submit.spec);
     switch (placement.kind) {
       case core::RequestKind::kHit:
         bump(tallies_.placements_hit, hooks_.placements_hit);
@@ -425,7 +461,7 @@ void Server::process_submit(
     if (placement.failed) {
       bump(tallies_.placements_failed, hooks_.placements_failed);
     }
-    replies.push_back(to_reply(placement, request.client_id));
+    replies.push_back(to_reply(placement, submit.client_id));
   }
   bump(tallies_.requests_served, hooks_.requests_served,
        replies.size() - shed);
@@ -707,6 +743,8 @@ ServeCounters Server::counters() const {
   out.dedup_hits = tallies_.dedup_hits.load();
   out.dedup_evictions = tallies_.dedup_evictions.load();
   out.specs_shed_expired = tallies_.specs_shed_expired.load();
+  out.spec_memo_hits = tallies_.spec_memo_hits.load();
+  out.spec_memo_misses = tallies_.spec_memo_misses.load();
   return out;
 }
 
@@ -794,6 +832,12 @@ void Server::set_observability(obs::Observability* observability) {
   hooks_.specs_shed_expired =
       &r.counter("serve_deadline_shed_total", {},
                  "Specifications shed because their deadline expired");
+  hooks_.spec_memo_hits =
+      &r.counter("serve_spec_memo_total", {{"result", "hit"}},
+                 "Submitted id lists by id-list memo result");
+  hooks_.spec_memo_misses =
+      &r.counter("serve_spec_memo_total", {{"result", "miss"}},
+                 "Submitted id lists by id-list memo result");
   hooks_.queue_depth = &r.gauge("serve_queue_depth", {},
                                 "Admitted specifications awaiting workers");
   hooks_.queue_depth_peak =

@@ -5,7 +5,10 @@
 //   * one acceptor thread blocks in accept() and registers connections;
 //   * one reader thread per connection reassembles length-prefixed frames
 //     (serve/protocol.hpp) out of a rolling receive buffer and answers
-//     pings/stats inline;
+//     pings/stats inline. It decodes submit frames straight into
+//     specifications, resolving each id list through the server's one
+//     IdListMemo (serve/id_list_memo.hpp), so a repeated list is not
+//     checked or rebuilt;
 //   * submit frames pass spec-granular admission control and are handed
 //     to a util::ThreadPool of decision workers, which call
 //     core::Landlord::submit per spec and enqueue the placement reply.
@@ -58,6 +61,7 @@
 #include "landlord/landlord.hpp"
 #include "obs/obs.hpp"
 #include "serve/dedup.hpp"
+#include "serve/id_list_memo.hpp"
 #include "serve/io.hpp"
 #include "serve/protocol.hpp"
 #include "util/arena.hpp"
@@ -139,6 +143,9 @@ struct ServeCounters {
   std::uint64_t dedup_hits = 0;          ///< submits answered from the window
   std::uint64_t dedup_evictions = 0;     ///< completed entries aged out
   std::uint64_t specs_shed_expired = 0;  ///< specs shed past their deadline
+  // -- Submit decoding --
+  std::uint64_t spec_memo_hits = 0;    ///< id lists the memo resolved
+  std::uint64_t spec_memo_misses = 0;  ///< id lists checked and built
 };
 
 class Server {
@@ -232,16 +239,19 @@ class Server {
 
   void accept_loop();
   void reader_loop(Connection* connection);
-  /// Handles one well-formed frame from `connection`; returns false when
-  /// the connection should close (protocol violation).
-  bool handle_frame(Connection* connection, Frame frame);
+  /// Handles one well-formed non-submit frame from `connection`; returns
+  /// false when the connection should close (protocol violation).
+  bool handle_frame(Connection* connection, const Frame& frame);
+  /// Dedup, admission and hand-off to the pool for one decoded submit
+  /// frame.
+  void handle_submit(Connection* connection, SubmitFrame frame);
   /// Executes an admitted submit frame. `expiry` is the v2 deadline as a
   /// server-clock instant (nullopt = none): specs past it are shed with
   /// a failed "deadline-expired" reply instead of executed.
   /// `dedup_claimed` marks a frame whose identity this worker registered
   /// in the dedup window and must complete.
   void process_submit(
-      Connection* connection, const Frame& frame,
+      Connection* connection, const SubmitFrame& frame,
       std::optional<std::chrono::steady_clock::time_point> expiry,
       bool dedup_claimed);
   /// Replies to a retried submit from the dedup window's stored replies.
@@ -283,6 +293,8 @@ class Server {
   /// Idempotent-retry window keyed by (session_id, request_id); sized by
   /// ServerConfig::dedup_window.
   DedupWindow dedup_;
+  /// Validated id lists, shared by every reader (decode_submit_frame).
+  IdListMemo memo_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
@@ -331,6 +343,8 @@ class Server {
     std::atomic<std::uint64_t> dedup_hits{0};
     std::atomic<std::uint64_t> dedup_evictions{0};
     std::atomic<std::uint64_t> specs_shed_expired{0};
+    std::atomic<std::uint64_t> spec_memo_hits{0};
+    std::atomic<std::uint64_t> spec_memo_misses{0};
   };
   AtomicCounters tallies_;
 
@@ -365,6 +379,8 @@ class Server {
     obs::Counter* dedup_hits = nullptr;
     obs::Counter* dedup_evictions = nullptr;
     obs::Counter* specs_shed_expired = nullptr;
+    obs::Counter* spec_memo_hits = nullptr;
+    obs::Counter* spec_memo_misses = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* queue_depth_peak = nullptr;
     obs::Histogram* batch_size = nullptr;

@@ -127,6 +127,10 @@ TEST(ServeObsReconcile, RegistryMatchesServerCountersAfterLoadgenRun) {
   expect_series(snap, "serve_dedup_hits_total", c.dedup_hits);
   expect_series(snap, "serve_dedup_evictions_total", c.dedup_evictions);
   expect_series(snap, "serve_deadline_shed_total", c.specs_shed_expired);
+  expect_series(snap, "serve_spec_memo_total{result=\"hit\"}",
+                c.spec_memo_hits);
+  expect_series(snap, "serve_spec_memo_total{result=\"miss\"}",
+                c.spec_memo_misses);
   // The peak gauge is published only through monotone raises (tally CAS
   // + Gauge::max_to of the same values), so at quiescence the two sides
   // agree exactly — a stale set() after the CAS loop used to break this.
@@ -155,6 +159,11 @@ TEST(ServeObsReconcile, RegistryMatchesServerCountersAfterLoadgenRun) {
   EXPECT_EQ(c.specs_admitted, c.requests_served);
   EXPECT_EQ(c.placements_hit + c.placements_merge + c.placements_insert,
             c.requests_served);
+  // Every spec the server decoded went through the id-list memo once,
+  // and the 50-spec catalog repeats, so most of them hit.
+  EXPECT_EQ(c.spec_memo_hits + c.spec_memo_misses, c.specs_admitted);
+  EXPECT_GE(c.spec_memo_misses, 1u);
+  EXPECT_GT(c.spec_memo_hits, c.spec_memo_misses);
 
   // The event trace saw the connection lifecycle and the drain.
   std::uint64_t accepted = 0;
@@ -230,6 +239,14 @@ TEST(ServeObsReconcile, RejectionCountersReconcile) {
   expect_series(snap, "serve_rejected_total{reason=\"queue-full\"}",
                 c.rejected_queue_full);
   expect_series(snap, "serve_rejected_requests_total", c.rejected_requests);
+  // Both frames were decoded through the memo before admission turned
+  // one away.
+  expect_series(snap, "serve_spec_memo_total{result=\"hit\"}",
+                c.spec_memo_hits);
+  expect_series(snap, "serve_spec_memo_total{result=\"miss\"}",
+                c.spec_memo_misses);
+  EXPECT_EQ(c.spec_memo_hits + c.spec_memo_misses,
+            c.specs_admitted + c.rejected_requests);
 
   std::uint64_t overloads = 0;
   for (const obs::TraceEvent& event : obs.trace.snapshot()) {
