@@ -559,6 +559,36 @@ void BM_SpecBytes(benchmark::State& state) {
 }
 BENCHMARK(BM_SpecBytes)->Unit(benchmark::kMicrosecond);
 
+/// BM_MemoHit over the head node's hot shape: the frame specs (~173 ids
+/// each over 1500 packages) on an 8-shard cache at α 0.8 with 100× the
+/// repository as budget. Two warm passes insert or merge every spec and
+/// then store its hit; from there every request() is a memo hit, cycling
+/// through the 256 specs. Time is per request.
+void BM_MemoHit_ServeCatalog(benchmark::State& state) {
+  core::CacheConfig config;
+  config.alpha = 0.8;
+  config.shards = 8;
+  config.capacity = build_repo().total_bytes() * 100;
+  core::ShardedCache cache(build_repo(), config);
+  std::vector<spec::Specification> specs;
+  for (const auto& request : frame_specs()) {
+    specs.push_back(serve::to_specification(request, build_repo().size()));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& spec : specs) (void)cache.request(spec);
+  }
+  const auto before = cache.memo_stats().hits;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.request(specs[next]));
+    next = (next + 1) % specs.size();
+  }
+  state.counters["memo_hit_share"] =
+      static_cast<double>(cache.memo_stats().hits - before) /
+      static_cast<double>(std::max<benchmark::IterationCount>(1, state.iterations()));
+}
+BENCHMARK(BM_MemoHit_ServeCatalog);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -235,16 +235,17 @@ std::optional<SpecMemo::Decision> SpecMemo::lookup(
   if (!slots_.empty()) {
     const Slot& slot = probe(fp);
     if (slot.key != 0 && slot.epoch == now && same_key(slot, key)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      add_locked(hits_);
       return slot.decision;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  add_locked(misses_);
   return std::nullopt;
 }
 
 void SpecMemo::store(const spec::PackageSet& key, ImageId image,
-                     std::size_t shard, std::uint64_t at_epoch) {
+                     std::size_t shard, util::Bytes requested_bytes,
+                     std::uint64_t at_epoch) {
   if (at_epoch != epoch()) return;  // the world moved on mid-decision
   const std::uint64_t fp = fingerprint(key);
   const auto& words = key.bits().words();
@@ -265,11 +266,11 @@ void SpecMemo::store(const spec::PackageSet& key, ImageId image,
     keys_.resize(used_ * words.size());
   }
   slot->epoch = at_epoch;
-  slot->decision = Decision{image, shard};
+  slot->decision = Decision{image, shard, requested_bytes};
   slot->key_size = key.size();
   std::copy(words.begin(), words.end(),
             keys_.begin() + static_cast<std::ptrdiff_t>((slot->key - 1) * words.size()));
-  stores_.fetch_add(1, std::memory_order_relaxed);
+  add_locked(stores_);
 }
 
 }  // namespace landlord::core

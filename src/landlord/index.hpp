@@ -22,12 +22,13 @@
 //    last_used then id), so the global victim is begin() and each
 //    last_used/hits touch re-keys one node in place, O(log n).
 //
-//  * Spec memo: fingerprint of the request bitset → last hit decision,
-//    epoch-stamped. Any structural mutation (insert/erase/contents
-//    rewrite — NOT recency touches, which cannot change a superset
-//    answer) bumps the epoch and invalidates every entry at once, so
-//    back-to-back identical specs (the common HTC case) short-circuit
-//    to a hit without any probe. Entries keep a full copy of the key
+//  * Spec memo: fingerprint of the request bitset → last hit decision
+//    and the spec's requested bytes, epoch-stamped. Any structural
+//    mutation (insert/erase/contents rewrite — NOT recency touches,
+//    which cannot change a superset answer) bumps the epoch and
+//    invalidates every entry at once, so back-to-back identical specs
+//    (the common HTC case) short-circuit to a hit without any probe or
+//    byte sum. Entries keep a full copy of the key
 //    set, so a fingerprint collision can never alias two specs.
 #pragma once
 
@@ -40,6 +41,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -171,6 +173,15 @@ class DecisionIndex {
   DecisionIndexStats stats_;
 };
 
+/// Adds `by` to a counter whose writers all hold one mutex: a relaxed
+/// load plus a store, no read-modify-write. Readers may load it without
+/// that mutex.
+template <typename T>
+void add_locked(std::atomic<T>& counter, std::type_identity_t<T> by = 1) noexcept {
+  counter.store(counter.load(std::memory_order_relaxed) + by,
+                std::memory_order_relaxed);
+}
+
 struct SpecMemoStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -209,6 +220,10 @@ class SpecMemo {
   struct Decision {
     ImageId image{};
     std::size_t shard = 0;
+    /// The key's Specification::bytes. Exact whatever the epoch: it
+    /// depends only on the key, compared word for word, and on the
+    /// cache's repository, which never changes.
+    util::Bytes requested_bytes = 0;
   };
 
   [[nodiscard]] std::optional<Decision> lookup(const spec::PackageSet& key);
@@ -218,7 +233,7 @@ class SpecMemo {
   /// table is cleared wholesale — entries are epoch-gated anyway, so
   /// eviction sophistication buys nothing.
   void store(const spec::PackageSet& key, ImageId image, std::size_t shard,
-             std::uint64_t at_epoch);
+             util::Bytes requested_bytes, std::uint64_t at_epoch);
 
   [[nodiscard]] SpecMemoStats stats() const {
     SpecMemoStats out;
@@ -276,6 +291,8 @@ class SpecMemo {
   std::size_t capacity_;
   unsigned shift_;  ///< home slot = fingerprint's top log2(slots) bits
   std::atomic<std::uint64_t> epoch_{0};
+  // Written only under mutex_ (a load plus a store, no read-modify-
+  // write); atomic so stats() may read them without it.
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> stores_{0};

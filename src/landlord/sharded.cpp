@@ -31,7 +31,7 @@ std::unique_lock<std::mutex> ShardedCache::lock_shard(const Shard& shard) const 
     if (hooks_.lock_contentions != nullptr) hooks_.lock_contentions->inc();
     lock.lock();
   }
-  shard.lock_acquisitions.fetch_add(1, std::memory_order_relaxed);
+  add_locked(shard.lock_acquisitions);
   return lock;
 }
 
@@ -215,17 +215,27 @@ void ShardedCache::ledger_adjust(const util::DynamicBitset& bits, bool add) {
   });
 }
 
+std::pair<std::uint64_t, util::Bytes> ShardedCache::memo_hit_tallies() const {
+  std::pair<std::uint64_t, util::Bytes> sum{0, 0};
+  for (const Shard& shard : shards_) {
+    sum.first += shard.memo_hits.load(std::memory_order_relaxed);
+    sum.second += shard.memo_hit_bytes.load(std::memory_order_relaxed);
+  }
+  return sum;
+}
+
 void ShardedCache::record_sample(RequestKind kind) {
+  const auto [memo_hits, memo_hit_bytes] = memo_hit_tallies();
   RequestSample sample;
   sample.kind = kind;
-  sample.hits = counters_.hits.load(std::memory_order_relaxed);
+  sample.hits = counters_.hits.load(std::memory_order_relaxed) + memo_hits;
   sample.inserts = counters_.inserts.load(std::memory_order_relaxed);
   sample.deletes = counters_.deletes.load(std::memory_order_relaxed);
   sample.merges = counters_.merges.load(std::memory_order_relaxed);
   sample.cached_bytes = total_bytes_.load(std::memory_order_acquire);
   sample.cumulative_written = counters_.written_bytes.load(std::memory_order_relaxed);
   sample.cumulative_requested =
-      counters_.requested_bytes.load(std::memory_order_relaxed);
+      counters_.requested_bytes.load(std::memory_order_relaxed) + memo_hit_bytes;
   sample.image_count = image_count_.load(std::memory_order_acquire);
   std::scoped_lock lock(ledger_mutex_);
   sample.unique_bytes = ledger_unique_;
@@ -236,15 +246,11 @@ ShardedCache::Outcome ShardedCache::request(const spec::Specification& spec) {
   assert(spec.packages().universe() == repo_->size() &&
          "spec universe must match the cache's repository");
   const std::uint64_t now = clock_.fetch_add(1) + 1;
-  counters_.requests.fetch_add(1, std::memory_order_relaxed);
-  const util::Bytes requested = spec.bytes(*repo_);
-  counters_.requested_bytes.fetch_add(requested, std::memory_order_relaxed);
+  Outcome outcome = serve(spec, now);
+  const util::Bytes requested = outcome.requested_bytes;
   if (hooks_.request_bytes != nullptr) {
     hooks_.request_bytes->observe(static_cast<double>(requested));
   }
-
-  Outcome outcome = serve(spec, now, requested);
-  outcome.requested_bytes = requested;
 
   counters_.container_efficiency_sum.fetch_add(
       outcome.image_bytes > 0
@@ -276,21 +282,22 @@ ShardedCache::Outcome ShardedCache::request(const spec::Specification& spec) {
 }
 
 ShardedCache::Outcome ShardedCache::serve(const spec::Specification& spec,
-                                          std::uint64_t now, util::Bytes requested) {
+                                          std::uint64_t now) {
   // Per-thread scratch for this request's short-lived containers
   // (Phase 2 candidate list). thread_local because serve() runs
   // concurrently; reset here reclaims the previous request's scratch.
   thread_local util::ScratchArena scratch_arena;
   scratch_arena.reset();
   // ---- Phase 0: spec memo. A current-epoch entry is exactly what the
-  // cross-shard scan below would decide, so apply it directly. A stale
-  // apply (racing writer — single-threaded replays never see one) falls
-  // through to the full decision loop.
+  // cross-shard scan below would decide, so apply it directly, with the
+  // requested bytes it stored. A stale apply (racing writer — single-
+  // threaded replays never see one) falls through to the full decision
+  // loop.
   const std::uint64_t memo_epoch = config_.decision_index ? memo_.epoch() : 0;
   if (config_.decision_index) {
     if (const auto memo = memo_.lookup(spec.packages())) {
-      if (auto outcome =
-              apply_hit(memo->shard, to_value(memo->image), spec, now, requested)) {
+      if (auto outcome = apply_hit(memo->shard, to_value(memo->image), spec, now,
+                                   memo->requested_bytes, /*from_memo=*/true)) {
         if (hooks_.memo_hit != nullptr) hooks_.memo_hit->inc();
         return *std::move(outcome);
       }
@@ -301,15 +308,23 @@ ShardedCache::Outcome ShardedCache::serve(const spec::Specification& spec,
     }
   }
 
+  // Counted before any decision counter moves, so a concurrent reader
+  // never sees hits + merges + inserts above requests.
+  const util::Bytes requested = spec.bytes(*repo_);
+  counters_.requests.fetch_add(1, std::memory_order_relaxed);
+  counters_.requested_bytes.fetch_add(requested, std::memory_order_relaxed);
+
   for (;;) {
     // ---- Phase 1: cross-shard superset scan.
     if (const auto hit = find_superset(spec)) {
       // Record the decision before applying it: a split during apply
       // bumps the epoch and correctly invalidates this entry.
       if (config_.decision_index) {
-        memo_.store(spec.packages(), ImageId{hit->id}, hit->shard, memo_epoch);
+        memo_.store(spec.packages(), ImageId{hit->id}, hit->shard, requested,
+                    memo_epoch);
       }
-      if (auto outcome = apply_hit(hit->shard, hit->id, spec, now, requested)) {
+      if (auto outcome = apply_hit(hit->shard, hit->id, spec, now, requested,
+                                   /*from_memo=*/false)) {
         return *std::move(outcome);
       }
       // A racing writer evicted or shrank the chosen image between scan
@@ -468,6 +483,7 @@ ShardedCache::Outcome ShardedCache::serve(const spec::Specification& spec,
       if (hooks_.requests_merge != nullptr) hooks_.requests_merge->inc();
       merge_outcome = {RequestKind::kMerge, image.id, image.bytes, false};
       merge_outcome.contents = image.contents;
+      merge_outcome.requested_bytes = requested;
 
       // The merged contents may band-hash to a different shard.
       const std::size_t new_home = home_of(image.contents);
@@ -506,6 +522,7 @@ ShardedCache::Outcome ShardedCache::serve(const spec::Specification& spec,
     if (hooks_.requests_insert != nullptr) hooks_.requests_insert->inc();
     Outcome outcome{RequestKind::kInsert, image.id, image.bytes, false};
     outcome.contents = image.contents;
+    outcome.requested_bytes = requested;
     admit(std::move(image));
     return outcome;
   }
@@ -592,7 +609,7 @@ void ShardedCache::install_locked(Shard& shard, Image image) {
 
 std::optional<ShardedCache::Outcome> ShardedCache::apply_hit(
     std::size_t shard_index, std::uint64_t id, const spec::Specification& spec,
-    std::uint64_t now, util::Bytes requested) {
+    std::uint64_t now, util::Bytes requested, bool from_memo) {
   Shard& shard = shards_[shard_index];
   auto lock = lock_shard(shard);
   auto it = shard.images.find(id);
@@ -604,17 +621,24 @@ std::optional<ShardedCache::Outcome> ShardedCache::apply_hit(
   image.last_used = now;
   ++image.hits;
   dindex_touch(shard, pre_touch_key, image);
-  counters_.hits.fetch_add(1, std::memory_order_relaxed);
+  if (from_memo) {
+    add_locked(shard.memo_hits);
+    add_locked(shard.memo_hit_bytes, requested);
+  } else {
+    counters_.hits.fetch_add(1, std::memory_order_relaxed);
+  }
   if (hooks_.requests_hit != nullptr) hooks_.requests_hit->inc();
   // Extension: a hit on a badly bloated image (the job uses a small
   // fraction of what it would ship) splits it along its merge lineage;
   // the job is served from the tightly fitting part.
-  if (config_.enable_split && image.merge_count > 0 && image.bytes > 0 &&
-      static_cast<double>(requested) / static_cast<double>(image.bytes) <
-          config_.split_utilization) {
-    return split_locked(lock, shard_index, image, spec, now);
-  }
-  return Outcome{RequestKind::kHit, image.id, image.bytes, false};
+  Outcome outcome =
+      config_.enable_split && image.merge_count > 0 && image.bytes > 0 &&
+              static_cast<double>(requested) / static_cast<double>(image.bytes) <
+                  config_.split_utilization
+          ? split_locked(lock, shard_index, image, spec, now)
+          : Outcome{RequestKind::kHit, image.id, image.bytes, false};
+  outcome.requested_bytes = requested;
+  return outcome;
 }
 
 ShardedCache::Outcome ShardedCache::split_locked(
@@ -903,15 +927,18 @@ double ShardedCache::cache_efficiency() const {
 }
 
 CacheCounters ShardedCache::counters() const {
+  // The memo-hit slots are read once and added to both requests and
+  // hits, so a concurrent reader's hits never outrun its requests.
+  const auto [memo_hits, memo_hit_bytes] = memo_hit_tallies();
   CacheCounters out;
-  out.requests = counters_.requests.load();
-  out.hits = counters_.hits.load();
+  out.requests = counters_.requests.load() + memo_hits;
+  out.hits = counters_.hits.load() + memo_hits;
   out.merges = counters_.merges.load();
   out.inserts = counters_.inserts.load();
   out.deletes = counters_.deletes.load();
   out.splits = counters_.splits.load();
   out.conflict_rejections = counters_.conflict_rejections.load();
-  out.requested_bytes = counters_.requested_bytes.load();
+  out.requested_bytes = counters_.requested_bytes.load() + memo_hit_bytes;
   out.written_bytes = counters_.written_bytes.load();
   out.delta_merges = counters_.delta_merges.load();
   out.repacks = counters_.repacks.load();

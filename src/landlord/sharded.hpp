@@ -103,8 +103,9 @@ class ShardedCache {
     /// materialise it even if a concurrent request evicts or rewrites
     /// the image first. Empty for plain hits, which build nothing.
     std::optional<spec::PackageSet> contents{};
-    /// Size the spec actually needed, computed once per request so the
-    /// caller need not walk the package set again.
+    /// Size the spec actually needed, computed once per request unless
+    /// the spec memo answers, so the caller need not walk the package
+    /// set again.
     util::Bytes requested_bytes = 0;
   };
 
@@ -218,8 +219,16 @@ class ShardedCache {
     std::optional<DecisionIndex> dindex;
     std::uint64_t homed_inserts = 0;  // guarded by `mutex`
     // Lock telemetry; relaxed atomics so readers need not take `mutex`.
+    // Contentions are counted before the lock is held, so they take a
+    // read-modify-write; the rest are written only under `mutex`
+    // (add_locked).
     mutable std::atomic<std::uint64_t> lock_acquisitions{0};
     mutable std::atomic<std::uint64_t> lock_contentions{0};
+    // Requests the spec memo answered with a hit on this shard, and
+    // their requested bytes. Each is a request and a hit: counters()
+    // adds them to both.
+    std::atomic<std::uint64_t> memo_hits{0};
+    std::atomic<util::Bytes> memo_hit_bytes{0};
   };
 
   /// Locks one shard, counting contention when the fast path misses.
@@ -234,8 +243,7 @@ class ShardedCache {
     std::size_t shard = 0;
   };
 
-  Outcome serve(const spec::Specification& spec, std::uint64_t now,
-                util::Bytes requested);
+  Outcome serve(const spec::Specification& spec, std::uint64_t now);
   /// The superset image a request for `spec` would hit, taking one shard
   /// lock at a time; touches no stamps, counters or memo.
   [[nodiscard]] std::optional<Located> find_superset(const spec::Specification& spec);
@@ -245,9 +253,12 @@ class ShardedCache {
       std::uint64_t now);
   /// Applies a hit decided by a scan or the memo; nullopt when a racing
   /// writer evicted or shrank the image since (the caller re-decides).
+  /// A memo hit is counted here, as a request and a hit, in the shard's
+  /// slots; a scan hit only as a hit, its request already counted.
   std::optional<Outcome> apply_hit(std::size_t shard_index, std::uint64_t id,
                                    const spec::Specification& spec,
-                                   std::uint64_t now, util::Bytes requested);
+                                   std::uint64_t now, util::Bytes requested,
+                                   bool from_memo);
   Outcome split_locked(std::unique_lock<std::mutex>& source_lock,
                        std::size_t shard_index, Image& bloated,
                        const spec::Specification& spec, std::uint64_t now);
@@ -293,6 +304,8 @@ class ShardedCache {
   // ledger_mutex_ (a leaf lock, taken while a shard lock may be held).
   void ledger_adjust(const util::DynamicBitset& bits, bool add);
   void record_sample(RequestKind kind);
+  /// Σ over shards of (memo_hits, memo_hit_bytes).
+  [[nodiscard]] std::pair<std::uint64_t, util::Bytes> memo_hit_tallies() const;
 
   const pkg::Repository* repo_;
   CacheConfig config_;
@@ -308,6 +321,8 @@ class ShardedCache {
   std::atomic<std::uint64_t> clock_{0};
   std::atomic<std::uint64_t> id_counter_{0};
 
+  /// Global tallies. `requests`, `hits` and `requested_bytes` leave out
+  /// memo hits, which the shards tally (Shard::memo_hits).
   struct AtomicCounters {
     std::atomic<std::uint64_t> requests{0};
     std::atomic<std::uint64_t> hits{0};

@@ -611,13 +611,14 @@ TEST(SpecMemo, FlatTableMatchesMapSemantics) {
                                      : model.stats.epoch;
         const ImageId image{rng.uniform(1000)};
         const std::size_t shard = rng.uniform(4);
-        memo.store(key, image, shard, at);
+        const util::Bytes bytes = rng.uniform(1u << 30);
+        memo.store(key, image, shard, bytes, at);
         if (at != model.stats.epoch) continue;
         const std::vector<std::uint64_t> k(words.begin(), words.end());
         if (model.entries.size() >= model.capacity && !model.entries.contains(k)) {
           model.entries.clear();
         }
-        model.entries[k] = {at, SpecMemo::Decision{image, shard}};
+        model.entries[k] = {at, SpecMemo::Decision{image, shard, bytes}};
         ++model.stats.stores;
       } else {
         const auto got = memo.lookup(key);
@@ -628,6 +629,7 @@ TEST(SpecMemo, FlatTableMatchesMapSemantics) {
           ++model.stats.hits;
           EXPECT_EQ(to_value(got->image), to_value(it->second.decision.image));
           EXPECT_EQ(got->shard, it->second.decision.shard);
+          EXPECT_EQ(got->requested_bytes, it->second.decision.requested_bytes);
         } else {
           ++model.stats.misses;
         }
@@ -639,6 +641,72 @@ TEST(SpecMemo, FlatTableMatchesMapSemantics) {
       ASSERT_EQ(stats.epoch, model.stats.epoch);
     }
     EXPECT_GT(model.stats.hits, 0u);
+  }
+}
+
+// The memo hands back the requested bytes it was given, and a store
+// made at an epoch that has since moved on is dropped with its bytes.
+TEST(SpecMemo, StoredRequestedBytesComeBackAndStaleStoresStayDropped) {
+  const auto& repo = shared_repo();
+  spec::PackageSet key(repo.size());
+  for (const std::uint32_t p : {3u, 64u, 700u}) key.insert(pkg::PackageId{p});
+  const util::Bytes bytes = repo.bytes_of(key.bits());
+
+  SpecMemo memo;
+  memo.store(key, ImageId{7}, /*shard=*/2, bytes, memo.epoch());
+  const auto hit = memo.lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(to_value(hit->image), 7u);
+  EXPECT_EQ(hit->shard, 2u);
+  EXPECT_EQ(hit->requested_bytes, bytes);
+
+  const std::uint64_t stale = memo.epoch();
+  memo.bump();
+  EXPECT_FALSE(memo.lookup(key).has_value()) << "a bump must retire the entry";
+  memo.store(key, ImageId{9}, /*shard=*/1, bytes + 1, stale);
+  EXPECT_FALSE(memo.lookup(key).has_value()) << "a stale-epoch store was kept";
+  EXPECT_EQ(memo.stats().stores, 1u);
+
+  memo.store(key, ImageId{9}, /*shard=*/1, bytes, memo.epoch());
+  const auto fresh = memo.lookup(key);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(to_value(fresh->image), 9u);
+  EXPECT_EQ(fresh->requested_bytes, bytes);
+}
+
+// A replay heavy in repeats: whether a request is answered by the memo
+// or decided afresh, its Outcome::requested_bytes is the spec's own sum,
+// and the counters' requested-byte total is the sum over the trace.
+TEST(SpecMemo, MemoHitsReportExactRequestedBytes) {
+  const auto& repo = shared_repo();
+  const auto replay = make_replay(17);
+  for (const std::uint32_t shards : {1u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CacheConfig config;
+    config.alpha = 0.6;
+    config.capacity = repo.total_bytes() / 4;
+    config.shards = shards;
+    ShardedCache cache(repo, config);
+    util::Bytes expected_total = 0;
+    std::uint64_t requests = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::uint32_t index : replay.stream) {
+        const auto& spec = replay.specs[index];
+        // Back to back: the second of each pair rides the memo once the
+        // first settled the spec without a structural change.
+        for (int twice = 0; twice < 2; ++twice) {
+          const auto outcome = cache.request(spec);
+          ASSERT_EQ(outcome.requested_bytes, spec.bytes(repo));
+          expected_total += outcome.requested_bytes;
+          ++requests;
+        }
+      }
+    }
+    EXPECT_GT(cache.memo_stats().hits, 0u);
+    const CacheCounters counters = cache.counters();
+    EXPECT_EQ(counters.requests, requests);
+    EXPECT_EQ(counters.requested_bytes, expected_total);
+    EXPECT_EQ(counters.requests, counters.hits + counters.merges + counters.inserts);
   }
 }
 

@@ -53,18 +53,28 @@ std::vector<spec::Specification> thread_trace(std::uint64_t seed) {
   return trace;
 }
 
-/// Runs the storm and checks every post-quiescence invariant.
-void run_storm(CacheConfig config) {
+/// Runs the storm and checks every post-quiescence invariant. With
+/// `prewarm`, every trace is first replayed on one thread, so a config
+/// that neither merges nor evicts sees no structural change in the storm
+/// and every repeat there is a memo hit.
+void run_storm(CacheConfig config, bool prewarm = false) {
   const auto& repo = shared_repo();
   ShardedCache cache(repo, config);
 
   // Traces are generated before the storm so workers only touch the cache.
   std::vector<std::vector<spec::Specification>> traces;
   std::uint64_t expected_requests = 0;
+  util::Bytes expected_requested_bytes = 0;
   for (std::uint32_t t = 0; t < kThreads; ++t) {
     traces.push_back(thread_trace(/*seed=*/100 + t));
-    expected_requests += traces.back().size();
+    const std::uint64_t passes = prewarm ? 2 : 1;
+    expected_requests += passes * traces.back().size();
+    for (const auto& spec : traces.back()) {
+      expected_requested_bytes += passes * spec.bytes(repo);
+      if (prewarm) (void)cache.request(spec);
+    }
   }
+  const std::uint64_t memo_hits_before = cache.memo_stats().hits;
 
   std::barrier start(kThreads + 1);
   std::atomic<bool> storm_over{false};
@@ -109,6 +119,12 @@ void run_storm(CacheConfig config) {
   const auto counters = cache.counters();
   EXPECT_EQ(counters.requests, expected_requests);
   EXPECT_EQ(counters.requests, counters.hits + counters.merges + counters.inserts);
+  // Memo hits tally their requests and bytes per shard, everything else
+  // globally; the two halves must add up to the traces exactly.
+  EXPECT_EQ(counters.requested_bytes, expected_requested_bytes);
+  if (prewarm) {
+    EXPECT_GT(cache.memo_stats().hits, memo_hits_before);
+  }
 
   const auto snapshot = cache.snapshot_images();
   EXPECT_EQ(snapshot.size(), cache.image_count());
@@ -164,6 +180,14 @@ TEST(ShardedStress, LshPolicyWithSplitsAndFewShards) {
   config.split_utilization = 0.4;
   config.capacity = shared_repo().total_bytes() / 2;
   run_storm(config);
+}
+
+TEST(ShardedStress, RepeatsRideTheMemoOnEveryShard) {
+  CacheConfig config;
+  config.alpha = 0.0;  // no merges; the capacity below rules out evictions
+  config.shards = 8;
+  config.capacity = shared_repo().total_bytes() * 1000;
+  run_storm(config, /*prewarm=*/true);
 }
 
 TEST(ShardedStress, IdleEvictionAndMoreThreadsThanShards) {
